@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -51,7 +50,7 @@ from .grassmann import (
 from .linalg import ComplexBlock, RealBlock
 from .oracles import birkhoff_average, fd_angle_derivative, maxmin_angle
 from .search import SubspaceSearchConfig
-from .semicontinuity import hairy_sweep
+from .semicontinuity import _resolve_threads, hairy_sweep
 from .smoothness import CurvePoint, angle_derivative_right
 
 EXIT_OK = 0
@@ -131,11 +130,19 @@ def _angle_scale(args):
     return 180.0 / math.pi if args.degrees else 1.0
 
 
+def _finite_number(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("config value %s is not a finite number" % text)
+    return x
+
+
 def load_config(args):
     if not args.config:
         raise ValueError("the %s command needs --config" % args.command)
     with open(args.config) as fh:
-        return json.load(fh)
+        # NaN, Infinity and overflowing literals are bad input, not values
+        return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
 
 
 def build_discrete_system(cfg):
@@ -362,7 +369,8 @@ def cmd_sweep(args):
             )
         )
     headers = ("kappa", "rho2", "tag", "p", "q", "value", "t_argmax", "err_estimate")
-    _emit(args, headers, rows, _meta(args, cfg, cells=len(rows)))
+    meta = _meta(args, cfg, cells=len(rows), threads=_resolve_threads(args.threads, len(rows)))
+    _emit(args, headers, rows, meta)
     return EXIT_OK
 
 
@@ -440,15 +448,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("ANGVAL_THREADS")
-        if env is not None:
-            try:
-                args.threads = int(env)
-            except ValueError:
-                print("error: ANGVAL_THREADS=%r is not an integer" % env, file=sys.stderr)
-                return EXIT_BAD_INPUT
     try:
+        args.threads = _resolve_threads(args.threads)
         return args.func(args)
     except BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)

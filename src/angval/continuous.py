@@ -1,24 +1,23 @@
 """Continuous-time linear systems u' = A(t) u: subspace propagation by
-classical Runge-Kutta with per-step re-orthonormalization, angle integrals,
-and angular value estimates."""
+classical Runge-Kutta with re-orthonormalization at every node, angle
+integrals, and angular value estimates."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RankDeficient, StepUnstable
-from .linalg import qr_thin, spectral_norm
+from .errors import StepUnstable
 from .search import default_sample_times, run_search
 
 
 @dataclass(frozen=True)
 class ContinuousSystem:
     """Generator t -> A(t).  `constant` holds the matrix when A is autonomous,
-    which unlocks an exact precomputed one-step map."""
+    which unlocks propagation by precomputed powers of the one-step map."""
 
     generator: Callable[[float], np.ndarray]
     dim: int
@@ -54,118 +53,131 @@ class SubspaceTrajectory:
     integrand: np.ndarray
 
 
-def _rk4_step_matrix(a, h):
-    # Classical RK4 applied to W' = A W with constant A collapses to the
-    # degree-4 Taylor polynomial of exp(h A); precomputing it makes each
-    # step a single matmul.
-    d = a.shape[0]
-    a2 = a @ a
-    a3 = a2 @ a
-    a4 = a3 @ a
-    return (
-        np.eye(d) + h * a + (h * h / 2.0) * a2 + (h**3 / 6.0) * a3 + (h**4 / 24.0) * a4
-    )
+# A constant generator is propagated in blocks: B nodes are carried from one
+# orthonormal basis by the powers M, ..., M^B of the RK4 step matrix and
+# orthonormalized together.  That is as accurate as stepping while cond(M^j)
+# stays bounded, so B is the longest leading run of powers, up to
+# _MAX_BLOCK, whose condition number is at most _BLOCK_COND.
+_MAX_BLOCK = 256
+_BLOCK_COND = 1e4
+_RANK_TOL = 1e-10  # qr_thin's default
+
+# overflow/invalid during a blown-up step is reported via StepUnstable, not
+# as a numpy warning
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _sigma_max(m):
-    s = m.shape[1]
+@_quiet
+def _step_powers(a, h, nsteps):
+    """Stack (B, d, d) of the powers of the RK4 step matrix M, each scaled to
+    unit norm, which keeps the spans they carry and keeps long blocks of
+    growing or decaying steps from overflowing or underflowing."""
+    # classical RK4 on W' = A W with constant A collapses to the degree-4
+    # Taylor polynomial of exp(h A), here in Horner form
+    powers = np.eye(len(a))
+    for j in (4, 3, 2, 1):
+        powers = np.eye(len(a)) + (h / j) * (a @ powers)
+    powers = powers[None]
+    cap = min(_MAX_BLOCK, nsteps)
+    while len(powers) < cap:
+        powers = np.concatenate([powers, powers @ powers[-1]])
+        powers /= np.linalg.norm(powers, axis=(1, 2), keepdims=True)
+    powers = powers[:cap]
+    finite = np.all(np.isfinite(powers), axis=(1, 2))
+    cond = np.full(cap, np.inf)
+    sigma = np.linalg.svd(powers[finite], compute_uv=False)
+    cond[finite] = sigma[:, 0] / sigma[:, -1]
+    ok = cond <= _BLOCK_COND  # 0/0 is nan: a zero power fails too
+    return powers[: cap if ok.all() else max(int(np.argmin(ok)), 1)]
+
+
+def _orthonormalize(w):
+    """Orthonormal factor of a (d, s) basis or of each member of an (n, d, s)
+    stack, with diag R >= 0 and qr_thin's rank test; an overflowed or
+    rank-deficient basis raises StepUnstable."""
+    scale = np.sqrt(np.einsum("...ij,...ij->...", w, w))
+    if not np.isfinite(scale).all():
+        raise StepUnstable("propagated basis overflowed or has non-finite entries")
+    if w.shape[-1] == 1:
+        # one column: R is its norm, and the rank test is "nonzero column"
+        if not (scale > 0.0).all():
+            raise StepUnstable("propagated basis lost rank")
+        return w / scale[..., None, None]
+    q, r = np.linalg.qr(w)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    if (np.abs(diag) <= _RANK_TOL * scale[..., None]).any():
+        raise StepUnstable("propagated basis lost rank")
+    return q * np.sign(diag)[..., None, :]
+
+
+def _speeds(q, aq):
+    """Angular speed ||(I - Q Q^T) A Q||_2 of an orthonormal basis Q, or of
+    each member of a stack of them, given A Q."""
+    m = aq - q @ (q.swapaxes(-1, -2) @ aq)
+    g = m.swapaxes(-1, -2) @ m
+    s = g.shape[-1]
     if s == 1:
-        return math.sqrt(float(m[:, 0] @ m[:, 0]))
-    if s == 2:
-        g = m.T @ m
-        tr = g[0, 0] + g[1, 1]
-        disc = math.sqrt(max((g[0, 0] - g[1, 1]) ** 2 + 4.0 * g[0, 1] ** 2, 0.0))
-        return math.sqrt(max(0.5 * (tr + disc), 0.0))
-    return spectral_norm(m)
+        speeds = np.sqrt(g[..., 0, 0])
+    elif s == 2:
+        g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+        speeds = np.sqrt(0.5 * (g00 + g11 + np.sqrt((g00 - g11) ** 2 + 4.0 * g01 * g01)))
+    elif np.isfinite(g).all():
+        speeds = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0))
+    else:
+        speeds = np.full(g.shape[:-2], np.inf)
+    if not np.isfinite(speeds).all():
+        raise StepUnstable("angular speed is non-finite")
+    return speeds
 
 
-def _orth_or_raise(w):
-    if not np.all(np.isfinite(w)):
-        raise StepUnstable("propagated basis has non-finite entries")
-    try:
-        q, _ = qr_thin(w)
-    except RankDeficient as exc:
-        raise StepUnstable("propagated basis lost rank") from exc
-    return q
-
-
-def _propagate_line(sys, b0, nsteps, h, store_bases):
-    # s = 1 fast path on plain vectors.
-    const = sys.constant
-    step_mat = _rk4_step_matrix(const, h) if const is not None else None
-    d = b0.shape[0]
-    b = b0[:, 0].copy()
+@_quiet
+def _propagate_block(a, powers, b0, nsteps, store_bases):
+    d, s = b0.shape
     integrand = np.empty(nsteps + 1)
-    bases = np.empty((nsteps + 1, d, 1)) if store_bases else None
-    for k in range(nsteps + 1):
-        a = const if const is not None else sys.matrix(k * h)
-        u = a @ b
-        resid = u - b * float(b @ u)
-        speed = math.sqrt(float(resid @ resid))
-        if not math.isfinite(speed):
-            raise StepUnstable("angular speed is non-finite")
-        integrand[k] = speed
+    bases = np.empty((nsteps + 1, d, s)) if store_bases else None
+    integrand[0] = _speeds(b0, a @ b0)
+    if store_bases:
+        bases[0] = b0
+    q = b0[None]
+    for k in range(0, nsteps, len(powers)):
+        q = _orthonormalize(powers[: nsteps - k] @ q[-1])
+        integrand[k + 1 : k + 1 + len(q)] = _speeds(q, a @ q)
         if store_bases:
-            bases[k, :, 0] = b
-        if k == nsteps:
-            break
-        if step_mat is not None:
-            w = step_mat @ b
-        else:
-            t = k * h
-            amid = sys.matrix(t + 0.5 * h)
-            k1 = u  # A(t) b already computed
-            k2 = amid @ (b + (0.5 * h) * k1)
-            k3 = amid @ (b + (0.5 * h) * k2)
-            k4 = sys.matrix(t + h) @ (b + h * k3)
-            w = b + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        nw = float(w @ w)
-        if nw == 0.0 or not math.isfinite(nw):
-            raise StepUnstable("propagated direction vanished or overflowed")
-        b = w / math.sqrt(nw)
+            bases[k + 1 : k + 1 + len(q)] = q
     return bases, integrand
 
 
-def _propagate_core(sys, b0, nsteps, h, store_bases):
-    # overflow/invalid during a blown-up step is reported via StepUnstable,
-    # not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if b0.shape[1] == 1:
-            return _propagate_line(sys, b0, nsteps, h, store_bases)
-        return _propagate_full(sys, b0, nsteps, h, store_bases)
-
-
-def _propagate_full(sys, b0, nsteps, h, store_bases):
-    const = sys.constant
-    step_mat = _rk4_step_matrix(const, h) if const is not None else None
+@_quiet
+def _propagate_stepwise(gen, h, b0, nsteps, store_bases):
     d, s = b0.shape
-    b = b0.copy()
     integrand = np.empty(nsteps + 1)
     bases = np.empty((nsteps + 1, d, s)) if store_bases else None
+    b = b0
+    a = gen(0.0)
     for k in range(nsteps + 1):
-        a = const if const is not None else sys.matrix(k * h)
-        m = a @ b
-        m = m - b @ (b.T @ m)
-        speed = _sigma_max(m)
-        if not math.isfinite(speed):
-            raise StepUnstable("angular speed is non-finite")
-        integrand[k] = speed
+        k1 = a @ b
+        integrand[k] = _speeds(b, k1)
         if store_bases:
             bases[k] = b
         if k == nsteps:
             break
-        if step_mat is not None:
-            w = step_mat @ b
-        else:
-            t = k * h
-            k1 = sys.matrix(t) @ b
-            amid = sys.matrix(t + 0.5 * h)
-            k2 = amid @ (b + (0.5 * h) * k1)
-            k3 = amid @ (b + (0.5 * h) * k2)
-            k4 = sys.matrix(t + h) @ (b + h * k3)
-            w = b + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        b = _orth_or_raise(w)
+        t = k * h
+        amid = gen(t + 0.5 * h)
+        k2 = amid @ (b + (0.5 * h) * k1)
+        k3 = amid @ (b + (0.5 * h) * k2)
+        a = gen(t + h)
+        k4 = a @ (b + h * k3)
+        b = _orthonormalize(b + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
     return bases, integrand
+
+
+def _propagator(sys, h, nsteps):
+    """propagate(b0, nsteps, store_bases) -> (bases or None, integrand) by
+    fixed-step RK4: in blocks of precomputed step powers for a constant
+    generator, one step at a time otherwise."""
+    if sys.constant is None:
+        return partial(_propagate_stepwise, sys.matrix, h)
+    return partial(_propagate_block, sys.constant, _step_powers(sys.constant, h, nsteps))
 
 
 def _resolve_steps(t_end, h):
@@ -173,17 +185,21 @@ def _resolve_steps(t_end, h):
     return nsteps, t_end / nsteps
 
 
+def _trajectory(sys, v0, t_end, h, store_bases):
+    nsteps, h_eff = _resolve_steps(t_end, h)
+    bases, integrand = _propagator(sys, h_eff, nsteps)(v0.basis, nsteps, store_bases)
+    times = np.arange(nsteps + 1) * h_eff
+    return SubspaceTrajectory(times=times, bases=bases, integrand=integrand)
+
+
 def propagate_subspace(sys, v0, t_end, h):
     """Carry span(v0) along the flow on [0, t_end] with fixed-step RK4.
 
-    The basis is re-orthonormalized after every step and the angular speed
-    ||(I - P) A(t) P|| is recorded at each node.  The step is adjusted to
-    the nearest exact divisor of t_end.
+    The basis is re-orthonormalized at every node and the angular speed
+    ||(I - P) A(t) P|| is recorded there.  The step is adjusted to the
+    nearest exact divisor of t_end.
     """
-    nsteps, h_eff = _resolve_steps(t_end, h)
-    bases, integrand = _propagate_core(sys, v0.basis, nsteps, h_eff, store_bases=True)
-    times = np.arange(nsteps + 1) * h_eff
-    return SubspaceTrajectory(times=times, bases=bases, integrand=integrand)
+    return _trajectory(sys, v0, t_end, h, store_bases=True)
 
 
 def integral_from_trajectory(traj, t_start=0.0):
@@ -201,8 +217,7 @@ def angular_integral(sys, v0, t_start, t_end, h):
     along the flow started at time 0 from span(v0)."""
     if not (0.0 <= t_start <= t_end):
         raise ValueError("need 0 <= t_start <= t_end")
-    traj = propagate_subspace(sys, v0, t_end, h)
-    return integral_from_trajectory(traj, t_start)
+    return integral_from_trajectory(_trajectory(sys, v0, t_end, h, store_bases=False), t_start)
 
 
 def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
@@ -220,8 +235,10 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     idx = np.unique(np.clip(np.round(raw / h).astype(int), 1, nsteps))
     times = idx * h
 
+    propagate = _propagator(sys, h, nsteps)
+
     def evaluate(basis):
-        _, integrand = _propagate_core(sys, basis, nsteps, h, store_bases=False)
+        _, integrand = propagate(basis, nsteps, store_bases=False)
         csum = np.cumsum(integrand)
         # trapezoid cumulative: h * (csum[i] - (f0 + f_i) / 2)
         cum = h * (csum[idx] - 0.5 * (integrand[0] + integrand[idx]))

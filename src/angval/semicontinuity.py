@@ -233,13 +233,16 @@ def build_rho2_grid():
     return sorted([k / 10.0 for k in range(1, 11)] + [0.25])
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(int(threads), 1)
-    env = os.environ.get("ANGVAL_THREADS")
-    if env:
-        return max(int(env), 1)
-    return 1
+def _resolve_threads(threads, jobs=math.inf):
+    """Worker threads: `threads`, else ANGVAL_THREADS, else 1, clamped to
+    the number of jobs and of CPUs, beyond which threads would only wait."""
+    if threads is None:
+        env = os.environ.get("ANGVAL_THREADS") or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError("ANGVAL_THREADS=%r is not an integer" % env) from None
+    return max(min(int(threads), os.cpu_count() or 1, jobs), 1)
 
 
 def _sweep_cell(omega1, rho1, kappa, rho2, tag, quad):
@@ -305,7 +308,7 @@ def hairy_sweep(
         tag = classify_ratio(kappa, qmax=qmax)
         for rho2 in sorted(float(r) for r in rho2_grid):
             jobs.append((kappa, rho2, tag))
-    nthreads = _resolve_threads(threads)
+    nthreads = _resolve_threads(threads, len(jobs))
     if nthreads == 1:
         return [
             _sweep_cell(omega1, rho1, kappa, rho2, tag, quad)

@@ -331,6 +331,41 @@ def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
     assert "ANGVAL_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_autonomous_non_finite_omega_is_exit_2(tmp_path, capsys, literal):
+    cfg = tmp_path / "a.json"
+    cfg.write_text('{"blocks": [{"beta": 0.0, "omega": %s, "rho": 0.5}], "s": 1}' % literal)
+    assert main(["autonomous", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert literal in captured.err and "value =" not in captured.out
+
+
+def test_continuous_nan_matrix_is_exit_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "system": {"kind": "constant", "matrix": [[0.0, -1.0], [1.0, math.nan]]},
+            "horizon": 10.0,
+            "step": 0.1,
+        },
+    )
+    assert main(["continuous", "--config", cfg]) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_sweep_meta_records_clamped_threads(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "s.json",
+        {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5], "quad": {"panels": 256}},
+    )
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "64"]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "s.csv.meta.json").read_text())["threads"] == 1
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "angval.cli", "--version"], capture_output=True, text=True

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag, expm
 
 from angval.continuous import (
     ContinuousSystem,
+    _step_powers,
     angular_integral,
     estimate_angular_value_ct,
     integral_from_trajectory,
@@ -15,10 +18,11 @@ from angval.continuous import (
 )
 from angval.errors import StepUnstable
 from angval.grassmann import Subspace, max_angle, subspace_from_spanning
+from angval.linalg import ComplexBlock
 from angval.search import SubspaceSearchConfig
 from angval.smoothness import angle_derivative_flow
 
-from conftest import haar_subspace
+from conftest import haar_subspace, random_orthogonal
 
 
 def _expm_subspace(a, t, v0):
@@ -171,6 +175,69 @@ def test_step_instability_raises():
     v0 = Subspace(np.array([[1.0], [0.0]]))
     with pytest.raises(StepUnstable):
         propagate_subspace(sys, v0, 10.0, 1.0)
+
+
+@st.composite
+def _generators(draw):
+    """d in 2..6, a dense Gaussian generator or a block-diagonal one with
+    real parts down to -50 in a random frame, and a starting subspace."""
+    d = draw(st.integers(2, 6))
+    s = draw(st.integers(1, d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = draw(st.floats(0.1, 3.0)) * rng.standard_normal((d, d))
+    else:
+        blocks = [
+            ComplexBlock(rng.uniform(-50.0, 1.0), rng.uniform(0.1, 5.0), rng.uniform(0.2, 1.0)).matrix()
+            for _ in range(d // 2)
+        ]
+        blocks += [[[rng.uniform(-50.0, 1.0)]]] * (d % 2)
+        frame = random_orthogonal(rng, d)
+        a = frame @ block_diag(*blocks) @ frame.T
+    return a, haar_subspace(rng, d, s)
+
+
+# a growth factor of 16 per step overflows 256 unscaled step powers
+_GROWING = (150.0 * np.eye(2) + ComplexBlock(0.0, 1.0, 0.5).matrix(), Subspace(np.eye(2)[:, :1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_generators(), st.floats(1e-3, 0.1), st.integers(1, 700))
+@example(_GROWING, 0.02, 600)
+def test_block_path_matches_stepwise(gen, h, nsteps):
+    a, v0 = gen
+    block = propagate_subspace(ContinuousSystem.from_constant(a), v0, nsteps * h, h)
+    steps = propagate_subspace(ContinuousSystem.time_varying(lambda t: a, a.shape[0]), v0, nsteps * h, h)
+    assert np.max(np.abs(block.integrand - steps.integrand)) <= 1e-10
+    assert max_angle(Subspace(block.bases[-1]), Subspace(steps.bases[-1])) <= 1e-10
+
+
+def test_block_length_shrinks_with_spectral_gap():
+    rot = ComplexBlock(0.0, 1.0, 0.5).matrix()
+    assert len(_step_powers(rot, 0.02, 10**6)) == 256
+    assert len(_step_powers(rot, 0.02, 100)) == 100
+    fast = ComplexBlock(-50.0, 1.0, 1.0).matrix()
+    assert 1 < len(_step_powers(block_diag(rot, fast), 0.02, 10**6)) < 20
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_constant_overflow_raises(s):
+    sys = ContinuousSystem.from_constant(1e120 * np.eye(3))
+    with pytest.raises(StepUnstable):
+        propagate_subspace(sys, Subspace(np.eye(3)[:, :s]), 10.0, 1.0)
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_annihilated_direction_raises(constant):
+    # h * (eigenvalue pair of the leading block) is a complex root of the RK4
+    # stability polynomial, so one RK4 step maps that block to zero and the
+    # plane spanned by e1 and e3 collapses onto the line e3
+    h = 0.1
+    z = np.roots([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0])[0] / h
+    a = block_diag([[z.real, -z.imag], [z.imag, z.real]], [[0.0]])
+    sys = ContinuousSystem.from_constant(a) if constant else ContinuousSystem.time_varying(lambda t: a, 3)
+    with pytest.raises(StepUnstable):
+        propagate_subspace(sys, Subspace(np.eye(3)[:, [0, 2]]), 1.0, h)
 
 
 def test_bad_window_raises():

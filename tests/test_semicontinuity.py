@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -247,6 +248,37 @@ def test_sweep_env_thread_fallback(monkeypatch):
     monkeypatch.setenv("ANGVAL_THREADS", "3")
     cells = hairy_sweep(1.0, 0.5, kappa_grid=[0.7], rho2_grid=[0.5])
     assert len(cells) == 1 and cells[0].value > 0
+
+
+def test_sweep_threads_clamped_to_cells_and_cpus(monkeypatch):
+    import angval.semicontinuity as sc
+
+    started = []
+
+    class RecordingPool:
+        # runs the jobs inline and records how many workers were asked for
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(sc, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    two = hairy_sweep(1.0, 0.5, kappa_grid=[0.3, 0.31], rho2_grid=[0.4], threads=10**6)
+    four = hairy_sweep(1.0, 0.5, kappa_grid=[0.3, 0.31], rho2_grid=[0.4, 0.8], threads=10**6)
+    assert started == [2, 3]
+    assert [c.value for c in four[::2]] == [c.value for c in two]
+    monkeypatch.setenv("ANGVAL_THREADS", "3256")
+    assert sc._resolve_threads(None, 3256) == 3
 
 
 def test_sweep_validation():
