@@ -18,14 +18,7 @@ from .errors import (
     RankDeficient,
     RationalityDetected,
 )
-from .linalg import (
-    ComplexBlock,
-    RealBlock,
-    _complete_orthonormal,
-    as_matrix,
-    block_flow,
-    svd,
-)
+from .linalg import ComplexBlock, RealBlock, as_matrix, block_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,17 +128,6 @@ def _plateau_length(betas, start):
     return n
 
 
-def _full_right_factor(f, ncols):
-    # the Jacobi kernel returns a thin right factor for wide inputs; pad it
-    # with an orthonormal basis of the null space for use as a column map
-    z = f.z
-    if z.shape[1] == ncols:
-        return z
-    full = np.zeros((ncols, ncols))
-    full[:, : z.shape[1]] = z
-    return _complete_orthonormal(full)
-
-
 def column_echelon(w, spec, tol=1e-10):
     """Reduce W to block column echelon form by column operations.
 
@@ -166,12 +148,12 @@ def column_echelon(w, spec, tol=1e-10):
         if c0 == s:
             break
         rows = slice(off[bi], off[bi + 1])
-        f = svd(work[rows, c0:])
-        rank = int(np.sum(f.sigma > tol * scale))
+        _, sigma, vt = np.linalg.svd(work[rows, c0:])
+        rank = int(np.sum(sigma > tol * scale))
         if rank == 0:
             work[rows, c0:] = 0.0
             continue
-        work[:, c0:] = work[:, c0:] @ _full_right_factor(f, s - c0)
+        work[:, c0:] = work[:, c0:] @ vt.T
         work[rows, c0 + rank :] = 0.0
         pivots.append(bi)
         widths.append(rank)

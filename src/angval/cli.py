@@ -47,7 +47,7 @@ from .grassmann import (
     principal_angles,
     subspace_from_spanning,
 )
-from .linalg import ComplexBlock, RealBlock
+from .linalg import ComplexBlock, RealBlock, as_matrix
 from .oracles import birkhoff_average, fd_angle_derivative, maxmin_angle
 from .search import SubspaceSearchConfig
 from .semicontinuity import _resolve_threads, hairy_sweep
@@ -60,7 +60,7 @@ EXIT_BUDGET = 4
 
 
 def load_matrix(path):
-    """Read a `# rows cols` headed CSV matrix file."""
+    """Read a `# rows cols` headed CSV matrix file of finite numbers."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -75,7 +75,7 @@ def load_matrix(path):
             "%s: header promises %dx%d but data is %dx%d"
             % (path, rows, cols, data.shape[0], data.shape[1])
         )
-    return data
+    return as_matrix(data)
 
 
 def save_matrix(path, m):

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RankDeficient, SingularMatrix
-from .grassmann import max_angle_between_bases
+from .grassmann import _SINE_PATH_THRESHOLD, max_angle_between_bases
 from .linalg import qr_thin, rotation
 from .search import default_sample_times, run_search
 
@@ -113,7 +113,7 @@ def _cesaro_line_samples(sys, b0, times):
             raise SingularMatrix("step matrix collapses the propagated line")
         w = w / nw
         c = abs(float(b @ w))
-        if c > 1.0 - 1e-4:
+        if c > _SINE_PATH_THRESHOLD:
             resid = w - b * float(b @ w)
             sine = math.sqrt(float(resid @ resid))
             total += math.asin(min(sine, 1.0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_matrix, qr_thin, spectral_norm, svd
+from .linalg import as_matrix, qr_thin, singular_values, spectral_norm, svd
 
 # Above this cosine the arccos loses digits and the sine path takes over.
 _SINE_PATH_THRESHOLD = 1.0 - 1e-4
@@ -107,7 +107,7 @@ def principal_angles(v, w):
     small = cosines > _SINE_PATH_THRESHOLD
     if np.any(small):
         residual = w.basis - v.basis @ g  # (I - P P^T) Q
-        sines_desc = svd(residual).sigma
+        sines_desc = singular_values(residual)
         sines_asc = np.clip(sines_desc[::-1], 0.0, 1.0)
         angles = np.where(small, np.arcsin(sines_asc), angles)
     return PrincipalAngleResult(
@@ -137,7 +137,7 @@ def max_angle_between_bases(b1, b2):
     elif s == 2:
         c = _gram_sigma_min_2x2(g)
     else:
-        c = float(svd(g).sigma[-1])
+        c = float(singular_values(g)[-1])
     c = min(max(c, 0.0), 1.0)
     if c > _SINE_PATH_THRESHOLD:
         sine = spectral_norm(b2 - b1 @ g)

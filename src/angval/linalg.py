@@ -1,9 +1,9 @@
 """Small dense linear algebra kernels used by every other module.
 
 Matrices are plain numpy arrays of float64 at desk scale (dimension <= 32 or
-so).  The SVD is a one-sided Jacobi iteration: for matrices this small it is
-simple, and it keeps high relative accuracy in the small singular values,
-which the small-angle paths upstream depend on.
+so).  Every SVD goes through LAPACK's backward-stable dgesdd; the
+small-angle paths upstream read small angles from sines rather than from
+cosines near 1, so they need no more than that.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBlock, NoConvergence, RankDeficient
-
-# Pair (p, q) is considered numerically orthogonal below this relative level.
-_JACOBI_TOL = 1e-15
-_MAX_SWEEPS = 30
 
 
 def as_matrix(m):
@@ -90,123 +86,37 @@ class Svd:
         return (self.y * self.sigma) @ self.z.T
 
 
-def _complete_orthonormal(u):
-    """Replace zero columns of u with an orthonormal completion."""
-    d, s = u.shape
-    out = u.copy()
-    basis = [out[:, j] for j in range(s) if np.linalg.norm(out[:, j]) > 0.5]
-    for j in range(s):
-        if np.linalg.norm(out[:, j]) > 0.5:
-            continue
-        # Gram-Schmidt a standard basis vector against everything kept so far.
-        for e in range(d):
-            v = np.zeros(d)
-            v[e] = 1.0
-            for b in basis:
-                v -= b * (b @ v)
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                out[:, j] = v / nv
-                basis.append(out[:, j])
-                break
-    return out
+def svd(m):
+    """Thin SVD from LAPACK's divide-and-conquer driver (dgesdd).
 
-
-def svd(m, max_sweeps=_MAX_SWEEPS):
-    """One-sided Jacobi SVD.
-
-    Rotates pairs of columns until all are mutually orthogonal, then reads
-    the singular values off as column norms.  Sweeps are cyclic-by-rows.
-
-    Raises NoConvergence if the off-diagonal mass has not vanished after
-    max_sweeps sweeps.
+    Returns an Svd with sigma descending and y, z of min(rows, cols)
+    orthonormal columns each.  Raises NoConvergence when LAPACK reports
+    that its iteration did not converge.
     """
-    a = as_matrix(m)
-    d, s = a.shape
-    if d < s:
-        inner = svd(a.T, max_sweeps=max_sweeps)
-        return Svd(y=inner.z, sigma=inner.sigma, z=inner.y)
-    u = a.copy()
-    v = np.eye(s)
-    eps = float(np.finfo(float).eps)
-    # Columns that cancellation drives below the noise floor of the whole
-    # matrix are frozen: their correlations are rounding dust and rotating
-    # them can cycle forever on nearly rank-deficient input.
-    norms2 = np.sum(u * u, axis=0)
-    floor = (d * eps) ** 2 * float(norms2.max(initial=0.0))
-    tol = max(_JACOBI_TOL, math.sqrt(d) * eps)
-    for _sweep in range(max_sweeps):
-        rotated = False
-        for p in range(s - 1):
-            for q in range(p + 1, s):
-                up = u[:, p]
-                uq = u[:, q]
-                app = float(up @ up)
-                aqq = float(uq @ uq)
-                if app <= floor or aqq <= floor:
-                    continue
-                apq = float(up @ uq)
-                if abs(apq) <= tol * math.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sn = c * t
-                new_p = c * up - sn * uq
-                new_q = sn * up + c * uq
-                u[:, p] = new_p
-                u[:, q] = new_q
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - sn * v[:, q]
-                v[:, q] = sn * vp + c * v[:, q]
-        if not rotated:
-            break
-    else:
-        raise NoConvergence("jacobi svd: no convergence in %d sweeps" % max_sweeps)
-    sigma = np.linalg.norm(u, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
-    y = np.zeros_like(u)
-    for j in range(s):
-        # Only exact zeros are excluded; tiny sigmas stay meaningful under Jacobi.
-        if sigma[j] > 0.0:
-            y[:, j] = u[:, j] / sigma[j]
-    if np.any(sigma == 0.0):
-        y = _complete_orthonormal(y)
-    return Svd(y=y, sigma=sigma, z=v)
+    y, sigma, vt = _lapack_svd(as_matrix(m), compute_uv=True)
+    return Svd(y=y, sigma=sigma, z=vt.T)
 
 
-def _sym2x2_max_eig(g00, g01, g11):
-    tr = g00 + g11
-    disc = math.sqrt(max((g00 - g11) ** 2 + 4.0 * g01 * g01, 0.0))
-    return 0.5 * (tr + disc)
+def singular_values(m):
+    """Singular values of m, descending; LAPACK computes no vectors."""
+    return _lapack_svd(m, compute_uv=False)
+
+
+def _lapack_svd(a, compute_uv):
+    try:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("svd: %s" % exc) from exc
 
 
 def spectral_norm(m):
-    """Largest singular value of m.
-
-    Equals sigma_1 of svd(m); small and symmetric shapes take closed-form
-    or symmetric-eigenvalue shortcuts with the same value.
-    """
+    """Largest singular value of m."""
     a = as_matrix(m)
-    n, k = a.shape
-    if min(n, k) == 0:
+    if min(a.shape) == 0:
         return 0.0
-    if min(n, k) == 1:
+    if min(a.shape) == 1:
         return float(np.linalg.norm(a))
-    if min(n, k) == 2:
-        if k == 2:
-            g = a.T @ a
-        else:
-            g = a @ a.T
-        return math.sqrt(max(_sym2x2_max_eig(g[0, 0], g[0, 1], g[1, 1]), 0.0))
-    if n == k and np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-        w = np.linalg.eigvalsh(a)
-        return float(max(abs(w[0]), abs(w[-1])))
-    return float(svd(a).sigma[0])
+    return float(singular_values(a)[0])
 
 
 # Real quasitriangular building blocks.  A ComplexBlock packs a conjugate

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import RankDeficient, SingularMatrix
 from .grassmann import max_angle, subspace_from_spanning
-from .linalg import as_matrix, rotation, spectral_norm, svd
+from .linalg import as_matrix, rotation, singular_values, spectral_norm, svd
 
 # Lipschitz constant of V -> angle(SV, W) in ||S - I||.
 LIPSCHITZ_CONSTANT = math.pi / 2.0 + math.sqrt(math.pi**2 / 4.0 + 1.0)
@@ -91,8 +91,8 @@ def model2d_alpha(tau, v0, rho, omega):
 
 
 def _sv_extremes(m):
-    f = svd(m)
-    return float(f.sigma[0]), float(f.sigma[-1])
+    sigma = singular_values(m)
+    return float(sigma[0]), float(sigma[-1])
 
 
 def check_angle_bound(s_mat, v, w):

@@ -104,6 +104,37 @@ def test_angles_rank_deficiency_is_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_svd_no_convergence_is_exit_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    v = tmp_path / "v.csv"
+    save_matrix(v, np.eye(3, 2))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["angles", str(v), str(v)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_non_finite_matrix_file_is_exit_2(tmp_path, capsys):
+    v0 = tmp_path / "v0.csv"
+    v0.write_text("# 2 1\nnan\n0\n")
+    cfg = write_config(
+        tmp_path,
+        "o.json",
+        {
+            "kind": "birkhoff",
+            "time": "discrete",
+            "system": {"kind": "planar_rotation", "rho": 1.0, "phi": 0.3},
+            "v0": str(v0),
+            "horizon": 250,
+        },
+    )
+    assert main(["oracle", "--config", cfg]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        load_matrix(v0)
+
+
 def test_malformed_matrix_header_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\n3.0,4.0\n")

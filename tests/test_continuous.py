@@ -201,7 +201,7 @@ def _generators(draw):
 _GROWING = (150.0 * np.eye(2) + ComplexBlock(0.0, 1.0, 0.5).matrix(), Subspace(np.eye(2)[:, :1]))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(_generators(), st.floats(1e-3, 0.1), st.integers(1, 700))
 @example(_GROWING, 0.02, 600)
 def test_block_path_matches_stepwise(gen, h, nsteps):

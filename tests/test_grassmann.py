@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_subspace, random_orthogonal
 
@@ -11,6 +13,7 @@ from angval.grassmann import (
     Subspace,
     coordinate_subspace,
     max_angle,
+    max_angle_between_bases,
     metric_d1,
     metric_d2,
     metric_dF,
@@ -205,6 +208,37 @@ def test_max_angle_against_maxmin_oracle():
         fast = max_angle(v, w)
         slow = maxmin_angle(v, w, samples=10**6, seed=int(rng.integers(10**6)))
         assert abs(fast - slow) <= 2e-3
+
+
+@st.composite
+def _prescribed_angles(draw):
+    """Bases with known principal angles theta, built without an SVD.
+
+    With Q a Haar frame of R^d, V is Q[:, :s] and column j of W is
+    V[:, j] cos(theta_j) + Q[:, s + j] sin(theta_j).  Only the first
+    min(s, d - s) angles can be nonzero, so s = d - 1 repeats the angle 0
+    s - 1 times.  Each basis is then mixed by its own random rotation.
+    """
+    d = draw(st.integers(2, 8))
+    s = draw(st.integers(1, d - 1))
+    k = min(s, d - s)
+    angle = st.one_of(st.just(0.0), st.floats(1e-9, math.pi / 2))
+    theta = np.array(draw(st.lists(angle, min_size=k, max_size=k)) + [0.0] * (s - k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_orthogonal(rng, d)
+    partner = np.zeros((d, s))
+    partner[:, :k] = q[:, s : s + k]
+    w = q[:, :s] * np.cos(theta) + partner * np.sin(theta)
+    return q[:, :s] @ random_orthogonal(rng, s), w @ random_orthogonal(rng, s), theta
+
+
+@settings(max_examples=300)
+@given(_prescribed_angles())
+def test_angles_match_prescribed(pair):
+    v, w, theta = pair
+    res = principal_angles(Subspace(v), Subspace(w))
+    assert np.max(np.abs(res.angles - np.sort(theta))) <= 1e-12
+    assert abs(max_angle_between_bases(v, w) - theta.max()) <= 1e-12
 
 
 def test_maxmin_oracle_coordinate_planes():

@@ -94,10 +94,29 @@ def test_svd_zero_matrix():
     assert np.linalg.norm(f.z.T @ f.z - np.eye(2)) <= 1e-12
 
 
-def test_svd_budget_exhaustion_raises():
-    m = np.array([[1.0, 1.0], [0.0, 1.0]])
+def test_svd_graded_columns_small_sigma_relative_accuracy():
+    # A = B D with D = diag(10^-linspace(0, 15, d)): sigma_min(A) is
+    # 1 / ||D^-1 B^-1||, which the well-conditioned B gives to working
+    # precision.  A backward-stable SVD must match it in relative terms.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 9))
+        b = rng.standard_normal((d, d))
+        grading = 10.0 ** -np.linspace(0.0, 15.0, d)
+        ref = 1.0 / np.linalg.norm(np.linalg.inv(b) / grading[:, None], 2)
+        sigma_min = svd(b * grading).sigma[-1]
+        assert abs(sigma_min - ref) <= 1e-10 * ref, (seed, d)
+
+
+def test_svd_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NoConvergence):
-        svd(m, max_sweeps=0)
+        svd(np.eye(3))
+    with pytest.raises(NoConvergence):
+        spectral_norm(np.eye(3))
 
 
 def test_spectral_norm_values():
