@@ -1,7 +1,8 @@
 """Closed-form angular values for block-diagonal constant-coefficient systems:
 block column echelon structure, limiting subspaces, admissible index sets,
-torus quadrature of the max-of-ellipse-speeds integrand, and the resonant
-one-parameter family for two 2x2 blocks."""
+torus quadrature of the max-of-ellipse-speeds integrand (one sorted-CDF
+midpoint rule for every index set), and the resonant one-parameter family
+for two 2x2 blocks."""
 
 from __future__ import annotations
 
@@ -270,12 +271,14 @@ def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    panels: int = 2048  # per axis, tensor midpoint, |J| <= 2
-    panels_3d: int = 256
+    panels: int = 2048  # midpoints per torus axis, any |J| >= 2
     tau_panels: int = 2880  # resonant inner integral
     t_points: int = 720  # resonant outer grid on [0, 2pi)
-    qmc_power: int = 16  # 2^power low-discrepancy samples for |J| > 3
-    seed: int = 0
+
+    def __post_init__(self):
+        # the Richardson estimates halve panels and tau_panels
+        if self.panels < 2 or self.tau_panels < 2 or self.t_points < 1:
+            raise ValueError("quad needs panels >= 2, tau_panels >= 2 and t_points >= 1")
 
 
 @dataclass(frozen=True)
@@ -302,39 +305,23 @@ class ResonantValue:
     l_values: np.ndarray
 
 
-def _tensor_max_mean(params, n):
-    # mean of max_j E_j over the midpoint tensor grid on [0, pi]^m;
-    # the pi^{-m} normalization is folded into the mean
+def _max_mean(params, n):
+    # mean of max_j E_j over the midpoint tensor grid on [0, pi]^|J|, exactly:
+    # with x_0 < x_1 < ... the distinct pooled table values and F_j the
+    # empirical CDF of table j, the mean is x_0 + sum_k (1 - prod_j F_j(x_k))
+    # (x_{k+1} - x_k), at O(|J| n log n) cost instead of O(n^|J|)
     mid = (np.arange(n) + 0.5) * (math.pi / n)
-    tabs = [_espeed(mid, w, r) for (w, r) in params]
-    if len(tabs) == 2:
-        return float(np.maximum.outer(tabs[0], tabs[1]).mean())
-    if len(tabs) == 3:
-        # stream over the first axis to bound memory
-        m23 = np.maximum.outer(tabs[1], tabs[2])
-        acc = 0.0
-        for v in tabs[0]:
-            acc += float(np.maximum(v, m23).mean())
-        return acc / n
-    raise ValueError("tensor rule supports 2 or 3 axes")
-
-
-def _qmc_max_mean(params, power, seed):
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=len(params), scramble=True, seed=seed)
-    pts = sampler.random_base2(power) * math.pi
-    vals = _espeed(pts[:, 0], *params[0])
-    for j in range(1, len(params)):
-        vals = np.maximum(vals, _espeed(pts[:, j], *params[j]))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return mean, stderr
+    tabs = [np.sort(_espeed(mid, w, r)) for (w, r) in params]
+    x = np.unique(np.concatenate(tabs))
+    cdf = np.ones_like(x)
+    for t in tabs:
+        cdf *= np.searchsorted(t, x, "right") / n
+    return float(x[0] + np.dot(1.0 - cdf[:-1], np.diff(x)))
 
 
 def integral_for_set(spec, index_set, quad=None):
     """pi^{-|J|} integral over [0, pi]^{|J|} of max_{j in J} E_j, with an
-    error estimate (one Richardson halving, or QMC standard error)."""
+    error estimate from one Richardson halving of the midpoint grid."""
     quad = quad or QuadConfig()
     j = tuple(index_set)
     if len(j) == 0:
@@ -348,13 +335,9 @@ def integral_for_set(spec, index_set, quad=None):
     if len(j) == 1:
         # single-frequency mean is omega exactly
         return SetValue(j, params[0][0], 0.0)
-    if len(j) <= 3:
-        n = quad.panels if len(j) == 2 else quad.panels_3d
-        v = _tensor_max_mean(params, n)
-        v_half = _tensor_max_mean(params, n // 2)
-        return SetValue(j, v, abs(v - v_half) / 3.0)
-    v, se = _qmc_max_mean(params, quad.qmc_power, quad.seed)
-    return SetValue(j, v, se)
+    v = _max_mean(params, quad.panels)
+    v_half = _max_mean(params, quad.panels // 2)
+    return SetValue(j, v, abs(v - v_half) / 3.0)
 
 
 def angular_value_irrational(s, spec, quad=None, override_gate=False):
@@ -397,7 +380,7 @@ def _resonant_l_values(omega1, p, q, rho1, rho2, ts, m):
     return out
 
 
-def angular_value_resonant_4d(omega1, p, q, rho1, rho2, t_points=None, quad=None):
+def angular_value_resonant_4d(omega1, p, q, rho1, rho2, quad=None):
     """Angular value for two 2x2 blocks with frequency ratio kappa = p/q:
     sup over t in [0, 2pi] of the q-term max-quadrature L(t).
 
@@ -417,7 +400,7 @@ def angular_value_resonant_4d(omega1, p, q, rho1, rho2, t_points=None, quad=None
         if not 0.0 < r <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
     p, q = int(p), int(q)
-    nt = int(t_points) if t_points is not None else quad.t_points
+    nt = quad.t_points
     m = quad.tau_panels
     ts = np.arange(nt) * (TWO_PI / nt)
     ls = _resonant_l_values(omega1, p, q, rho1, rho2, ts, m)

@@ -195,7 +195,7 @@ def build_search_config(cfg, seed):
 def build_quad_config(cfg):
     q = dict(cfg.get("quad", {}))
     kwargs = {}
-    for key in ("panels", "panels_3d", "tau_panels", "t_points", "qmc_power", "seed"):
+    for key in ("panels", "tau_panels", "t_points"):
         if key in q:
             kwargs[key] = int(q.pop(key))
     if q:

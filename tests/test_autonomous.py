@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from angval.autonomous import (
     QuadConfig,
     SchurSpec,
+    _max_mean,
     admissible_sets,
     angular_value_irrational,
     angular_value_resonant_4d,
@@ -297,12 +301,74 @@ def test_set_inclusion_monotonicity():
             ComplexBlock(-2.0, rng.uniform(0.3, 2.0), 0.2),
         )
     )
-    quad = QuadConfig(panels=512, panels_3d=128)
+    quad = QuadConfig(panels=512)
     singles = [integral_for_set(spec, (j,), quad).value for j in (1, 2, 3)]
     pair = integral_for_set(spec, (1, 2), quad).value
     triple = integral_for_set(spec, (1, 2, 3), quad).value
     assert pair >= max(singles[0], singles[1]) - 1e-9
-    assert triple >= pair - 2e-3  # 3d rule is coarser than the 2d one
+    assert triple >= pair - 1e-12  # one rule on one grid: exact up to rounding
+
+
+_block_params = st.tuples(st.floats(0.1, 3.0), st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+
+
+@st.composite
+def _torus_axes(draw):
+    """2 to 4 (omega, rho) pairs, each fresh or a copy of the one before."""
+    params = [draw(_block_params)]
+    for _ in range(draw(st.integers(1, 3))):
+        params.append(params[-1] if draw(st.booleans()) else draw(_block_params))
+    return params
+
+
+@settings(max_examples=150)
+@given(_torus_axes(), st.integers(2, 32))
+@example([(1.0, 0.5), (1.0, 0.5), (1.0, 0.5)], 7)
+@example([(1.0, 1.0), (2.0, 0.3)], 2)
+def test_max_mean_matches_explicit_grid(params, n):
+    mid = (np.arange(n) + 0.5) * (math.pi / n)
+    axes = np.meshgrid(*[mid] * len(params), indexing="ij")
+    speeds = [ellipse_speed(ax, ComplexBlock(0.0, w, r)) for ax, (w, r) in zip(axes, params)]
+    want = float(np.maximum.reduce(speeds).mean())
+    assert abs(_max_mean(params, n) - want) <= 1e-13 * want
+
+
+def _speed_cdf(x, omega, rho):
+    # theta uniform on [0, pi]: E(theta) <= x iff sin^2 theta <= u below,
+    # and |sin theta| has the arcsine law P(|sin theta| <= y) = (2/pi) asin y
+    u = (1.0 - rho * omega / x) / (1.0 - rho * rho)
+    return 2.0 / math.pi * math.asin(math.sqrt(min(max(u, 0.0), 1.0)))
+
+
+def _torus_reference(params):
+    # E[max_j E_j] = lo + integral_lo^hi (1 - prod_j F_j(x)) dx, since every
+    # F_j vanishes below lo = max_j rho_j omega_j and is 1 above hi
+    lo = max(r * w for w, r in params)
+    hi = max(w / r for w, r in params)
+    breaks = sorted({x for w, r in params for x in (r * w, w / r) if lo < x < hi})
+
+    def tail(x):
+        return 1.0 - math.prod(_speed_cdf(x, w, r) for w, r in params)
+
+    return lo + quad(tail, lo, hi, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_torus_rule_matches_1d_reference(size):
+    rng = np.random.default_rng(40 + size)
+    for _ in range(4):
+        params = list(zip(rng.uniform(0.2, 3.0, size), rng.uniform(0.05, 0.95, size)))
+        spec = SchurSpec(tuple(ComplexBlock(-float(i), w, r) for i, (w, r) in enumerate(params)))
+        got = integral_for_set(spec, tuple(range(1, size + 1))).value
+        assert abs(got - _torus_reference(params)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"panels": 1}, {"panels": -4}, {"tau_panels": 1}, {"t_points": 0}]
+)
+def test_quad_config_rejects_degenerate_grids(kwargs):
+    with pytest.raises(ValueError):
+        QuadConfig(**kwargs)
 
 
 def block_lines(a, b):
@@ -364,7 +430,7 @@ def test_resonant_rejects_bad_orders():
 
 
 def test_resonant_grid_shape_and_argmax_location():
-    res = angular_value_resonant_4d(1.0, 1, 3, 0.5, 0.9, t_points=180)
+    res = angular_value_resonant_4d(1.0, 1, 3, 0.5, 0.9, quad=QuadConfig(t_points=180))
     assert len(res.t_values) == 180 and len(res.l_values) == 180
     assert 0.0 <= res.t_argmax < 2 * math.pi
     assert res.value >= res.l_values.max()

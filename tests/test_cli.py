@@ -397,6 +397,58 @@ def test_sweep_meta_records_clamped_threads(tmp_path, capsys):
     assert json.loads((tmp_path / "s.csv.meta.json").read_text())["threads"] == 1
 
 
+_TWO_BLOCKS = [
+    {"beta": 0.0, "omega": 1.0, "rho": 1.0 / 3.0},
+    {"beta": -1.0, "omega": 0.7071067811865476, "rho": 0.25},
+]
+_RESONANT = {"omega1": 1.0, "p": 1, "q": 2, "rho1": 0.5, "rho2": 0.25}
+_SWEEP = {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5]}
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"panels": 1}}),
+        ("sweep", dict(_SWEEP, quad={"panels": 1})),
+        ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": 1, "t_points": 0}}),
+        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"panels": -4}}),
+    ],
+)
+def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, "q.json", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert "quad needs" in captured.err and "value =" not in captured.out
+
+
+@pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed"])
+def test_removed_quad_keys_are_exit_2(tmp_path, capsys, key):
+    path = write_config(tmp_path, "q.json", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {key: 8}})
+    assert main(["autonomous", "--config", path]) == 2
+    assert "unknown quad settings: %s" % key in capsys.readouterr().err
+
+
+def test_four_block_autonomous_skips_scipy_stats(tmp_path):
+    # the torus rule for |J| >= 4 needs numpy only; importing scipy.stats
+    # would cost a fresh process about half a second
+    blocks = [
+        {"beta": -0.5 * i, "omega": w, "rho": r}
+        for i, (w, r) in enumerate([(1.0, 0.4), (1.3, 0.6), (0.8, 0.5), (1.1, 0.9)])
+    ]
+    path = write_config(tmp_path, "a.json", {"blocks": blocks, "s": 4, "override_gate": True})
+    code = (
+        "import sys\n"
+        "from angval.cli import main\n"
+        "rc = main(['autonomous', '--config', %r])\n"
+        "print('scipy.stats loaded:', 'scipy.stats' in sys.modules)\n"
+        "sys.exit(rc)\n" % path
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "1+2+3+4," in proc.stdout
+    assert proc.stdout.strip().endswith("scipy.stats loaded: False")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "angval.cli", "--version"], capture_output=True, text=True
