@@ -269,6 +269,13 @@ def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
     return GateVerdict(independent=not witnesses, witnesses=tuple(witnesses))
 
 
+# Upper limits on grid sizes, 90x to 500x the defaults: a torus axis table,
+# the resonant outer grid, and the resonant table of q rows by tau_panels
+MAX_PANELS = 2**20
+MAX_T_POINTS = 2**16
+MAX_RESONANT_TABLE = 2**23
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     panels: int = 2048  # midpoints per torus axis, any |J| >= 2
@@ -276,9 +283,19 @@ class QuadConfig:
     t_points: int = 720  # resonant outer grid on [0, 2pi)
 
     def __post_init__(self):
+        sizes = (self.panels, self.tau_panels, self.t_points)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+            raise ValueError("quad sizes must be integers, got %r" % (sizes,))
         # the Richardson estimates halve panels and tau_panels
-        if self.panels < 2 or self.tau_panels < 2 or self.t_points < 1:
-            raise ValueError("quad needs panels >= 2, tau_panels >= 2 and t_points >= 1")
+        if not (
+            2 <= self.panels <= MAX_PANELS
+            and 2 <= self.tau_panels <= MAX_PANELS
+            and 1 <= self.t_points <= MAX_T_POINTS
+        ):
+            raise ValueError(
+                "quad needs 2 <= panels, tau_panels <= %d and 1 <= t_points <= %d"
+                % (MAX_PANELS, MAX_T_POINTS)
+            )
 
 
 @dataclass(frozen=True)
@@ -367,15 +384,24 @@ def angular_value_irrational(s, spec, quad=None, override_gate=False):
 
 def _resonant_l_values(omega1, p, q, rho1, rho2, ts, m):
     # L(t) = (1/(2 pi q)) \int_0^{2pi} sum_j max(E1(t+tau), E2(kappa(tau+2pi(j-1)))) dtau,
-    # evaluated by the midpoint rule; the (2 pi q)^{-1} folds into the mean
+    # evaluated by the midpoint rule with m panels per 2 pi; the (2 pi q)^{-1}
+    # folds into the mean.  The integrand has period pi q in the orbit time (E1
+    # has period pi, E2(kappa .) period pi q/p), so for even m the m/2 midpoints
+    # of [0, pi) in rows offset by pi j give the same mean at half the columns
     kappa = p / q
     omega2 = omega1 * kappa
-    tau = (np.arange(m) + 0.5) * (TWO_PI / m)
-    arg2 = kappa * (tau[None, :] + TWO_PI * np.arange(q)[:, None])
+    h = TWO_PI / m
+    n = m // 2 if m % 2 == 0 else m
+    tau = (np.arange(n) + 0.5) * h
+    arg2 = kappa * (tau[None, :] + (n * h) * np.arange(q)[:, None])
     e2 = _espeed(arg2, omega2, rho2)
+    c0, s0 = np.cos(tau), np.sin(tau)
     out = np.empty(len(ts))
     for i, t in enumerate(ts):
-        e1 = _espeed(t + tau, omega1, rho1)
+        # E1(t + tau) through the angle-addition formulas: no trig per t
+        c = math.cos(t) * c0 - math.sin(t) * s0
+        s = math.sin(t) * c0 + math.cos(t) * s0
+        e1 = rho1 * omega1 / (c * c + rho1 * rho1 * s * s)
         out[i] = np.maximum(e1[None, :], e2).mean()
     return out
 
@@ -384,8 +410,8 @@ def angular_value_resonant_4d(omega1, p, q, rho1, rho2, quad=None):
     """Angular value for two 2x2 blocks with frequency ratio kappa = p/q:
     sup over t in [0, 2pi] of the q-term max-quadrature L(t).
 
-    Returns the sup (after a x4 local refinement around the coarse argmax)
-    together with the sampled line L on the coarse grid.
+    Returns the sup (after a x4 local refinement around the first coarse
+    grid maximizer) together with the sampled line L on the coarse grid.
     """
     quad = quad or QuadConfig()
     if not (isinstance(p, (int, np.integer)) and isinstance(q, (int, np.integer))):
@@ -394,16 +420,26 @@ def angular_value_resonant_4d(omega1, p, q, rho1, rho2, quad=None):
         raise ValueError("need p, q >= 1")
     if math.gcd(int(p), int(q)) != 1:
         raise NotCoprime("p/q = %d/%d is not in lowest terms" % (p, q))
-    if omega1 <= 0.0:
-        raise ValueError("omega1 must be positive")
+    if not (math.isfinite(omega1) and omega1 > 0.0):
+        raise ValueError("omega1 must be positive and finite, got %r" % (omega1,))
     for r in (rho1, rho2):
         if not 0.0 < r <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
     p, q = int(p), int(q)
+    if q * quad.tau_panels > MAX_RESONANT_TABLE:
+        raise ValueError(
+            "q * tau_panels = %d * %d exceeds %d" % (q, quad.tau_panels, MAX_RESONANT_TABLE)
+        )
     nt = quad.t_points
     m = quad.tau_panels
     ts = np.arange(nt) * (TWO_PI / nt)
-    ls = _resonant_l_values(omega1, p, q, rho1, rho2, ts, m)
+    # L(t + pi) = L(t) (for even nt) and L(2pi - t) = L(t): evaluate the first
+    # point of each grid orbit of these maps and fill the line by indexing, so
+    # argmax returns the first grid maximizer
+    half = nt // 2 if nt % 2 == 0 else nt
+    k = np.arange(nt)
+    reps = _resonant_l_values(omega1, p, q, rho1, rho2, ts[: half // 2 + 1], m)
+    ls = reps[np.minimum(k % half, -k % half)]
     k0 = int(np.argmax(ls))
     # x4 refinement around the coarse argmax
     fine = ts[k0] + (TWO_PI / nt) * (np.arange(-3, 4) / 4.0)

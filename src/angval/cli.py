@@ -192,12 +192,21 @@ def build_search_config(cfg, seed):
     return SubspaceSearchConfig(**kwargs)
 
 
+def _integral(key, x):
+    # int() would truncate 2048.5 to 2048 and accept "2048" and true
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("%s must be an integer, got %r" % (key, x))
+    return x
+
+
 def build_quad_config(cfg):
     q = dict(cfg.get("quad", {}))
     kwargs = {}
     for key in ("panels", "tau_panels", "t_points"):
         if key in q:
-            kwargs[key] = int(q.pop(key))
+            kwargs[key] = _integral(key, q.pop(key))
     if q:
         raise ValueError("unknown quad settings: %s" % ", ".join(sorted(q)))
     return QuadConfig(**kwargs)
@@ -311,8 +320,8 @@ def cmd_autonomous(args):
         r = cfg["resonant"]
         res = angular_value_resonant_4d(
             float(r["omega1"]),
-            int(r["p"]),
-            int(r["q"]),
+            _integral("p", r["p"]),
+            _integral("q", r["q"]),
             float(r["rho1"]),
             float(r["rho2"]),
             quad=quad,
@@ -350,7 +359,7 @@ def cmd_sweep(args):
         float(cfg["rho1"]),
         kappa_grid=cfg.get("kappa_grid"),
         rho2_grid=cfg.get("rho2_grid"),
-        qmax=int(cfg.get("qmax", 20)),
+        qmax=_integral("qmax", cfg.get("qmax", 20)),
         quad=build_quad_config(cfg),
         threads=args.threads,
     )
@@ -369,7 +378,18 @@ def cmd_sweep(args):
             )
         )
     headers = ("kappa", "rho2", "tag", "p", "q", "value", "t_argmax", "err_estimate")
-    meta = _meta(args, cfg, cells=len(rows), threads=_resolve_threads(args.threads, len(rows)))
+    # per-cell seconds summed by kind; above one thread the sums exceed the wall time
+    kinds = {kind: {"cells": 0, "seconds": 0.0} for kind in ("rational", "irrational")}
+    for c in cells:
+        kinds[c.tag.kind]["cells"] += 1
+        kinds[c.tag.kind]["seconds"] += c.seconds
+    meta = _meta(
+        args,
+        cfg,
+        cells=len(rows),
+        cells_by_kind=kinds,
+        threads=_resolve_threads(args.threads, len(rows)),
+    )
     _emit(args, headers, rows, meta)
     return EXIT_OK
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,6 +32,8 @@ from .errors import AngvalError
 from .linalg import ComplexBlock, rotation
 
 TWO_PI = 2.0 * math.pi
+# the sweep grid holds about 0.3 qmax^2 ratios, each with a stored line per row
+MAX_QMAX = 100
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,8 @@ class SweepCell:
 
     Rational cells carry the sampled vertical line {L(t)} and take their
     value as its sup; irrational cells hold the torus quadrature value.
-    err_estimate is the per-cell quadrature diagnostic.
+    err_estimate is the per-cell quadrature diagnostic and seconds the
+    wall time the cell took.
     """
 
     kappa: float
@@ -206,6 +210,7 @@ class SweepCell:
     err_estimate: float
     t_argmax: Optional[float] = None
     line: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    seconds: float = field(default=0.0, compare=False)
 
 
 def build_kappa_grid(lo=0.05, hi=1.0, qmax=20, spacing=0.005, extras=(1.0 / math.sqrt(2.0),)):
@@ -246,6 +251,7 @@ def _resolve_threads(threads, jobs=math.inf):
 
 
 def _sweep_cell(omega1, rho1, kappa, rho2, tag, quad):
+    t0 = time.perf_counter()
     if tag.rational:
         res = angular_value_resonant_4d(omega1, tag.p, tag.q, rho1, rho2, quad=quad)
         return SweepCell(
@@ -256,6 +262,7 @@ def _sweep_cell(omega1, rho1, kappa, rho2, tag, quad):
             err_estimate=res.error,
             t_argmax=res.t_argmax,
             line=(res.t_values, res.l_values),
+            seconds=time.perf_counter() - t0,
         )
     spec = SchurSpec(
         (
@@ -273,6 +280,7 @@ def _sweep_cell(omega1, rho1, kappa, rho2, tag, quad):
         tag=tag,
         value=res.value,
         err_estimate=res.error,
+        seconds=time.perf_counter() - t0,
     )
 
 
@@ -293,10 +301,12 @@ def hairy_sweep(
     torus quadrature.  Cells are independent; results come back in
     (kappa, rho2) lexicographic order regardless of thread count.
     """
-    if omega1 <= 0:
-        raise ValueError("omega1 must be positive")
+    if not (math.isfinite(omega1) and omega1 > 0):
+        raise ValueError("omega1 must be positive and finite, got %r" % (omega1,))
     if not 0.0 < rho1 <= 1.0:
         raise ValueError("rho1 must lie in (0, 1]")
+    if not 1 <= qmax <= MAX_QMAX:
+        raise ValueError("qmax must lie in 1..%d, got %r" % (MAX_QMAX, qmax))
     if kappa_grid is None:
         kappa_grid = build_kappa_grid(qmax=qmax)
     if rho2_grid is None:
@@ -305,6 +315,8 @@ def hairy_sweep(
         quad = QuadConfig()
     jobs = []
     for kappa in sorted(float(k) for k in kappa_grid):
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError("kappa_grid entries must be positive and finite, got %r" % kappa)
         tag = classify_ratio(kappa, qmax=qmax)
         for rho2 in sorted(float(r) for r in rho2_grid):
             jobs.append((kappa, rho2, tag))

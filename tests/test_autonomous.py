@@ -364,7 +364,18 @@ def test_torus_rule_matches_1d_reference(size):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"panels": 1}, {"panels": -4}, {"tau_panels": 1}, {"t_points": 0}]
+    "kwargs",
+    [
+        {"panels": 1},
+        {"panels": -4},
+        {"tau_panels": 1},
+        {"t_points": 0},
+        {"panels": 2**20 + 1},
+        {"tau_panels": 10**9},
+        {"t_points": 2**16 + 1},
+        {"panels": 2048.5},
+        {"t_points": True},
+    ],
 )
 def test_quad_config_rejects_degenerate_grids(kwargs):
     with pytest.raises(ValueError):
@@ -429,11 +440,72 @@ def test_resonant_rejects_bad_orders():
         angular_value_resonant_4d(0.0, 1, 2, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("omega1", [math.nan, math.inf, -math.inf])
+def test_resonant_rejects_non_finite_omega1(omega1):
+    with pytest.raises(ValueError, match="omega1"):
+        angular_value_resonant_4d(omega1, 1, 2, 0.5, 0.5)
+
+
+def test_resonant_rejects_oversized_table():
+    # 20 * 2**19 is above the 2**23 table bound: refused before allocating
+    with pytest.raises(ValueError, match="tau_panels"):
+        angular_value_resonant_4d(1.0, 1, 20, 0.5, 0.5, QuadConfig(tau_panels=2**19))
+
+
 def test_resonant_grid_shape_and_argmax_location():
     res = angular_value_resonant_4d(1.0, 1, 3, 0.5, 0.9, quad=QuadConfig(t_points=180))
     assert len(res.t_values) == 180 and len(res.l_values) == 180
     assert 0.0 <= res.t_argmax < 2 * math.pi
     assert res.value >= res.l_values.max()
+
+
+def _full_resonant_line(omega1, p, q, rho1, rho2, ts, m):
+    # every t, and the m midpoints of [0, 2 pi) in q rows offset by 2 pi j
+    kappa = p / q
+    tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
+    e2 = ellipse_speed(
+        kappa * (tau[None, :] + 2 * math.pi * np.arange(q)[:, None]),
+        ComplexBlock(0.0, omega1 * kappa, rho2),
+    )
+    blk1 = ComplexBlock(0.0, omega1, rho1)
+    return np.array([np.maximum(ellipse_speed(t + tau, blk1)[None, :], e2).mean() for t in ts])
+
+
+def _full_resonant_value(omega1, p, q, rho1, rho2, nt, m):
+    ts = np.arange(nt) * (2 * math.pi / nt)
+    line = _full_resonant_line(omega1, p, q, rho1, rho2, ts, m)
+    k0 = int(np.argmax(line))
+    fine = np.mod(ts[k0] + (2 * math.pi / nt) * (np.arange(-3, 4) / 4.0), 2 * math.pi)
+    return max(line[k0], _full_resonant_line(omega1, p, q, rho1, rho2, fine, m).max()), line
+
+
+_rho = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 20),
+    _rho,
+    _rho,
+    st.integers(1, 64),
+    st.integers(2, 400),
+)
+@example(7, 20, 0.05, 0.05, 64, 400)
+@example(3, 7, 1 / 3, 1.0, 60, 240)
+@example(1, 1, 0.5, 0.5, 1, 3)
+@example(2, 3, 0.2, 0.7, 6, 2)
+def test_resonant_line_matches_full_grid(p, q, rho1, rho2, nt, m):
+    # the reduced rule (one orbit period in tau, one symmetry quarter in t)
+    # against the whole 2 pi q orbit evaluated at every grid t
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    res = angular_value_resonant_4d(1.0, p, q, rho1, rho2, QuadConfig(tau_panels=m, t_points=nt))
+    want, line = _full_resonant_value(1.0, p, q, rho1, rho2, nt, m)
+    # relative: L grows with omega2 = p/q, and E2 with p/q up to 40 amplifies
+    # the rounding of its arguments into the last digits of the mean
+    assert np.max(np.abs(res.l_values - line)) <= 1e-13 * want
+    assert abs(res.value - want) <= 1e-13 * want
 
 
 # ---------------------------------------------------------------- symmetry

@@ -293,6 +293,9 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     meta = json.loads((tmp_path / "s1.csv.meta.json").read_text())
     assert meta["config"]["kappa_grid"] == [0.5, 0.505]
     assert meta["cells"] == 2
+    kinds = meta["cells_by_kind"]
+    assert {k: v["cells"] for k, v in kinds.items()} == {"rational": 1, "irrational": 1}
+    assert all(v["seconds"] > 0.0 for v in kinds.values())
 
 
 def test_oracle_birkhoff_rotation(tmp_path, capsys):
@@ -412,6 +415,8 @@ _SWEEP = {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5]}
         ("sweep", dict(_SWEEP, quad={"panels": 1})),
         ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": 1, "t_points": 0}}),
         ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"panels": -4}}),
+        ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": 1000000000}}),
+        ("sweep", dict(_SWEEP, quad={"t_points": 10**6})),
     ],
 )
 def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
@@ -419,6 +424,38 @@ def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
     assert main([command, "--config", path]) == 2
     captured = capsys.readouterr()
     assert "quad needs" in captured.err and "value =" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
+        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"panels": 2048.5}}, "panels"),
+        ("autonomous", {"resonant": _RESONANT, "quad": {"t_points": "720"}}, "t_points"),
+        ("sweep", dict(_SWEEP, quad={"tau_panels": True}), "tau_panels"),
+        ("sweep", dict(_SWEEP, qmax=20.5), "qmax"),
+        ("autonomous", {"resonant": dict(_RESONANT, q=2.5)}, "q must"),
+    ],
+)
+def test_non_integral_sizes_are_exit_2(tmp_path, capsys, command, cfg, message):
+    path = write_config(tmp_path, "q.json", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "must be an integer" in captured.err
+    assert "value =" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
+        ("sweep", dict(_SWEEP, qmax=10**6), "qmax must lie"),
+        ("autonomous", {"resonant": dict(_RESONANT, p=1, q=20), "quad": {"tau_panels": 2**19}},
+         "exceeds"),
+    ],
+)
+def test_oversized_resonance_is_exit_2(tmp_path, capsys, command, cfg, message):
+    path = write_config(tmp_path, "q.json", cfg)
+    assert main([command, "--config", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from concurrent.futures import Future
@@ -286,3 +287,30 @@ def test_sweep_validation():
         hairy_sweep(0.0, 0.5, kappa_grid=[0.5], rho2_grid=[0.5])
     with pytest.raises(ValueError):
         hairy_sweep(1.0, 1.5, kappa_grid=[0.5], rho2_grid=[0.5])
+
+
+@pytest.mark.parametrize("omega1", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_non_finite_omega1(omega1):
+    with pytest.raises(ValueError, match="omega1"):
+        hairy_sweep(omega1, 0.5, kappa_grid=[0.7071], rho2_grid=[0.5])
+
+
+@pytest.mark.parametrize("kappa", [math.nan, -0.5, 0.0, math.inf])
+def test_sweep_rejects_bad_kappa_entries(kappa):
+    with pytest.raises(ValueError, match="kappa_grid entries"):
+        hairy_sweep(1.0, 0.5, kappa_grid=[0.5, kappa], rho2_grid=[0.5])
+
+
+@pytest.mark.parametrize("qmax", [0, 101])
+def test_sweep_rejects_qmax_out_of_range(qmax):
+    # checked before the kappa grid of about 0.3 qmax^2 ratios is built
+    with pytest.raises(ValueError, match="qmax"):
+        hairy_sweep(1.0, 0.5, qmax=qmax)
+
+
+def test_sweep_cells_record_their_time():
+    cells = hairy_sweep(1.0, 0.5, kappa_grid=[0.5, 0.505], rho2_grid=[0.4])
+    assert all(c.seconds > 0.0 for c in cells)
+    # timing is not part of a cell's value
+    assert cells[0] == dataclasses.replace(cells[0], seconds=0.0)
+
