@@ -58,6 +58,8 @@ EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_BUDGET = 4
 
+MAX_ORACLE_SAMPLES = 10**7
+
 
 def load_matrix(path):
     """Read a `# rows cols` headed CSV matrix file of finite numbers."""
@@ -181,7 +183,7 @@ def build_search_config(cfg, seed):
     kwargs = {"seed": seed}
     for key in ("candidates", "refine_rounds", "sample_count"):
         if key in s:
-            kwargs[key] = int(s.pop(key))
+            kwargs[key] = _integral(key, s.pop(key))
     for key in ("refine_scale", "tail_fraction", "cost_cap"):
         if key in s:
             kwargs[key] = float(s.pop(key))
@@ -287,9 +289,9 @@ def cmd_discrete(args):
     sys_ = build_discrete_system(cfg["system"])
     rep = estimate_angular_value(
         sys_,
-        int(cfg.get("s", 1)),
+        _integral("s", cfg.get("s", 1)),
         cfg.get("variant", "sup-limsup"),
-        int(cfg["horizon"]),
+        _integral("horizon", cfg["horizon"]),
         build_search_config(cfg, args.seed),
     )
     _emit(args, _REPORT_HEADERS, _report_rows(rep), _meta(args, cfg, value=rep.value))
@@ -302,7 +304,7 @@ def cmd_continuous(args):
     sys_ = build_continuous_system(cfg["system"])
     rep = estimate_angular_value_ct(
         sys_,
-        int(cfg.get("s", 1)),
+        _integral("s", cfg.get("s", 1)),
         cfg.get("variant", "sup-limsup"),
         float(cfg["horizon"]),
         float(cfg["step"]),
@@ -334,7 +336,7 @@ def cmd_autonomous(args):
     else:
         spec = build_schur_spec(cfg["blocks"])
         res = angular_value_irrational(
-            int(cfg["s"]), spec, quad=quad, override_gate=bool(cfg.get("override_gate", False))
+            _integral("s", cfg["s"]), spec, quad=quad, override_gate=bool(cfg.get("override_gate", False))
         )
         rows = [
             ("+".join(str(j) for j in sv.index_set) or "empty", float(sv.value), float(sv.error))
@@ -398,22 +400,37 @@ def cmd_oracle(args):
     cfg = load_config(args)
     kind = cfg["kind"]
     if kind == "maxmin":
+        samples = _integral("samples", cfg.get("samples", 10**6))
+        if not 1 <= samples <= MAX_ORACLE_SAMPLES:
+            # the oracle tabulates sqrt(samples)^2 doubles for planes
+            raise ValueError("samples must be in 1..%d" % MAX_ORACLE_SAMPLES)
         v = subspace_from_spanning(load_matrix(cfg["v"]), tol=args.tol)
         w = subspace_from_spanning(load_matrix(cfg["w"]), tol=args.tol)
-        val = maxmin_angle(v, w, samples=int(cfg.get("samples", 10**6)), seed=args.seed)
+        val = maxmin_angle(v, w, samples=samples, seed=args.seed)
     elif kind == "birkhoff":
         time_kind = cfg.get("time", "discrete")
         if time_kind == "discrete":
             sys_ = build_discrete_system(cfg["system"])
-            step = None
+            horizon = _integral("horizon", cfg["horizon"])
+            step, nsteps = None, horizon
         elif time_kind == "continuous":
             sys_ = build_continuous_system(cfg["system"])
-            step = float(cfg["step"])
+            horizon, step = float(cfg["horizon"]), float(cfg["step"])
+            if not step > 0.0:
+                raise ValueError("oracle step must be positive")
+            nsteps = horizon / step
         else:
             raise ValueError("oracle time must be discrete or continuous")
+        # one QR and one SVD per step, capped like one search evaluation
+        if nsteps > SubspaceSearchConfig.cost_cap:
+            raise BudgetExceeded(
+                "oracle horizon of %g steps exceeds the cost cap %g" % (nsteps, SubspaceSearchConfig.cost_cap)
+            )
+        if round(nsteps) < 1:
+            raise ValueError("oracle horizon must cover at least one step")
         v0 = cfg["v0"]
         v0 = load_matrix(v0) if isinstance(v0, str) else np.asarray(v0, dtype=float)
-        val = birkhoff_average(sys_, v0, cfg["horizon"], step=step)
+        val = birkhoff_average(sys_, v0, horizon, step=step)
     elif kind == "fd_derivative":
         val = fd_angle_derivative(
             load_matrix(cfg["w"]), load_matrix(cfg["wdot"]), float(cfg["h"])

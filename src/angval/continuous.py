@@ -5,7 +5,6 @@ integrals, and angular value estimates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,11 +52,12 @@ class SubspaceTrajectory:
     integrand: np.ndarray
 
 
-# A constant generator is propagated in blocks: B nodes are carried from one
-# orthonormal basis by the powers M, ..., M^B of the RK4 step matrix and
-# orthonormalized together.  That is as accurate as stepping while cond(M^j)
-# stays bounded, so B is the longest leading run of powers, up to
-# _MAX_BLOCK, whose condition number is at most _BLOCK_COND.
+# Every generator is propagated in blocks: B nodes are carried from one
+# orthonormal basis by the products M_j ... M_1 of the RK4 step maps and
+# orthonormalized together.  That is as accurate as stepping while the
+# products stay well conditioned, so B is the longest leading run of
+# products, up to _MAX_BLOCK, whose condition number is at most _BLOCK_COND.
+# A constant generator has one step matrix M, whose powers are formed once.
 _MAX_BLOCK = 256
 _BLOCK_COND = 1e4
 _RANK_TOL = 1e-10  # qr_thin's default
@@ -65,6 +65,17 @@ _RANK_TOL = 1e-10  # qr_thin's default
 # overflow/invalid during a blown-up step is reported via StepUnstable, not
 # as a numpy warning
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _well_conditioned(prods):
+    """Length, at least 1, of the longest leading run of a (B, d, d) stack
+    whose condition numbers are at most _BLOCK_COND."""
+    finite = np.all(np.isfinite(prods), axis=(1, 2))
+    cond = np.full(len(prods), np.inf)
+    sigma = np.linalg.svd(prods[finite], compute_uv=False)
+    cond[finite] = sigma[:, 0] / sigma[:, -1]
+    ok = cond <= _BLOCK_COND  # 0/0 is nan: a zero product fails too
+    return len(prods) if ok.all() else max(int(np.argmin(ok)), 1)
 
 
 @_quiet
@@ -82,13 +93,48 @@ def _step_powers(a, h, nsteps):
     while len(powers) < cap:
         powers = np.concatenate([powers, powers @ powers[-1]])
         powers /= np.linalg.norm(powers, axis=(1, 2), keepdims=True)
-    powers = powers[:cap]
-    finite = np.all(np.isfinite(powers), axis=(1, 2))
-    cond = np.full(cap, np.inf)
-    sigma = np.linalg.svd(powers[finite], compute_uv=False)
-    cond[finite] = sigma[:, 0] / sigma[:, -1]
-    ok = cond <= _BLOCK_COND  # 0/0 is nan: a zero power fails too
-    return powers[: cap if ok.all() else max(int(np.argmin(ok)), 1)]
+    return powers[: _well_conditioned(powers[:cap])]
+
+
+def _prefix_products(maps):
+    """Products M_j ... M_1 (j = 1..n) of a stack of n maps, each scaled to
+    unit norm, by a scan of about log2(n) stacked products."""
+    prods = maps / np.linalg.norm(maps, axis=(1, 2), keepdims=True)
+    span = 1
+    while span < len(prods):
+        prods = np.concatenate([prods[:span], prods[span:] @ prods[:-span]])
+        prods /= np.linalg.norm(prods, axis=(1, 2), keepdims=True)
+        span *= 2
+    return prods
+
+
+def _varying_blocks(gen, h, nsteps, a0):
+    """Yield the blocks (unit-scaled products, A at their end nodes) of a
+    time-varying generator.  The RK4 step maps of up to _MAX_BLOCK steps at a
+    time come from one generator call at each of the times one-step RK4 uses;
+    after a block is cut short, the next forms its products only up to that
+    length, and each block that is not cut doubles the length tried."""
+    eye = np.eye(len(a0))
+    tried = _MAX_BLOCK
+    for k0 in range(0, nsteps, _MAX_BLOCK):
+        amid, nodes = [], [a0]
+        for k in range(k0, min(k0 + _MAX_BLOCK, nsteps)):
+            t = k * h
+            amid.append(gen(t + 0.5 * h))
+            nodes.append(gen(t + h))
+        amid, nodes = np.array(amid), np.array(nodes)
+        k2 = amid @ (eye + (0.5 * h) * nodes[:-1])
+        k3 = amid @ (eye + (0.5 * h) * k2)
+        k4 = nodes[1:] @ (eye + h * k3)
+        maps = eye + (h / 6.0) * (nodes[:-1] + 2.0 * (k2 + k3) + k4)
+        j = 0
+        while j < len(maps):
+            prods = _prefix_products(maps[j : j + tried])
+            b = _well_conditioned(prods)
+            yield prods[:b], nodes[j + 1 : j + 1 + b]
+            tried = b if b < len(prods) else min(2 * tried, _MAX_BLOCK)
+            j += b
+        a0 = nodes[-1]
 
 
 def _orthonormalize(w):
@@ -131,53 +177,38 @@ def _speeds(q, aq):
 
 
 @_quiet
-def _propagate_block(a, powers, b0, nsteps, store_bases):
+def _propagate(a0, blocks, b0, nsteps, store_bases):
     d, s = b0.shape
     integrand = np.empty(nsteps + 1)
     bases = np.empty((nsteps + 1, d, s)) if store_bases else None
-    integrand[0] = _speeds(b0, a @ b0)
+    integrand[0] = _speeds(b0, a0 @ b0)
     if store_bases:
         bases[0] = b0
-    q = b0[None]
-    for k in range(0, nsteps, len(powers)):
-        q = _orthonormalize(powers[: nsteps - k] @ q[-1])
+    q, k = b0[None], 0
+    for prods, a in blocks:
+        q = _orthonormalize(prods @ q[-1])
         integrand[k + 1 : k + 1 + len(q)] = _speeds(q, a @ q)
         if store_bases:
             bases[k + 1 : k + 1 + len(q)] = q
-    return bases, integrand
-
-
-@_quiet
-def _propagate_stepwise(gen, h, b0, nsteps, store_bases):
-    d, s = b0.shape
-    integrand = np.empty(nsteps + 1)
-    bases = np.empty((nsteps + 1, d, s)) if store_bases else None
-    b = b0
-    a = gen(0.0)
-    for k in range(nsteps + 1):
-        k1 = a @ b
-        integrand[k] = _speeds(b, k1)
-        if store_bases:
-            bases[k] = b
-        if k == nsteps:
-            break
-        t = k * h
-        amid = gen(t + 0.5 * h)
-        k2 = amid @ (b + (0.5 * h) * k1)
-        k3 = amid @ (b + (0.5 * h) * k2)
-        a = gen(t + h)
-        k4 = a @ (b + h * k3)
-        b = _orthonormalize(b + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        k += len(q)
     return bases, integrand
 
 
 def _propagator(sys, h, nsteps):
-    """propagate(b0, nsteps, store_bases) -> (bases or None, integrand) by
-    fixed-step RK4: in blocks of precomputed step powers for a constant
-    generator, one step at a time otherwise."""
-    if sys.constant is None:
-        return partial(_propagate_stepwise, sys.matrix, h)
-    return partial(_propagate_block, sys.constant, _step_powers(sys.constant, h, nsteps))
+    """propagate(b0, store_bases) -> (bases or None, integrand) over nsteps
+    fixed RK4 steps, in blocks of step powers formed here for a constant
+    generator, of step-map products formed per propagation otherwise."""
+    a = sys.constant
+    powers = None if a is None else _step_powers(a, h, nsteps)
+
+    def propagate(b0, store_bases):
+        if a is None:
+            a0 = sys.matrix(0.0)
+            return _propagate(a0, _varying_blocks(sys.matrix, h, nsteps, a0), b0, nsteps, store_bases)
+        blocks = ((powers[: nsteps - k], a) for k in range(0, nsteps, len(powers)))
+        return _propagate(a, blocks, b0, nsteps, store_bases)
+
+    return propagate
 
 
 def _resolve_steps(t_end, h):
@@ -187,7 +218,7 @@ def _resolve_steps(t_end, h):
 
 def _trajectory(sys, v0, t_end, h, store_bases):
     nsteps, h_eff = _resolve_steps(t_end, h)
-    bases, integrand = _propagator(sys, h_eff, nsteps)(v0.basis, nsteps, store_bases)
+    bases, integrand = _propagator(sys, h_eff, nsteps)(v0.basis, store_bases)
     times = np.arange(nsteps + 1) * h_eff
     return SubspaceTrajectory(times=times, bases=bases, integrand=integrand)
 
@@ -238,7 +269,7 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     propagate = _propagator(sys, h, nsteps)
 
     def evaluate(basis):
-        _, integrand = propagate(basis, nsteps, store_bases=False)
+        _, integrand = propagate(basis, store_bases=False)
         csum = np.cumsum(integrand)
         # trapezoid cumulative: h * (csum[i] - (f0 + f_i) / 2)
         cum = h * (csum[idx] - 0.5 * (integrand[0] + integrand[idx]))

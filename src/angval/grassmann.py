@@ -118,10 +118,12 @@ def principal_angles(v, w):
 
 
 def _gram_sigma_min_2x2(g):
-    gtg = g.T @ g
-    tr = gtg[0, 0] + gtg[1, 1]
-    disc = math.sqrt(max((gtg[0, 0] - gtg[1, 1]) ** 2 + 4.0 * gtg[0, 1] ** 2, 0.0))
-    return math.sqrt(max(0.5 * (tr - disc), 0.0))
+    # sigma_min as |det g| / sigma_max: sqrt((tr - disc) / 2) of g^T g cancels
+    # to an absolute error of sqrt(eps) when sigma_min is small (angle near pi/2)
+    a, b, c, d = g.ravel().tolist()
+    p, q, r = a * a + c * c, b * b + d * d, a * b + c * d  # g^T g
+    sigma_max = math.sqrt(0.5 * (p + q + math.sqrt((p - q) ** 2 + 4.0 * r * r)))
+    return abs(a * d - b * c) / sigma_max if sigma_max > 0.0 else 0.0
 
 
 def max_angle_between_bases(b1, b2):

@@ -406,6 +406,14 @@ _TWO_BLOCKS = [
 ]
 _RESONANT = {"omega1": 1.0, "p": 1, "q": 2, "rho1": 0.5, "rho2": 0.25}
 _SWEEP = {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5]}
+_IDENTITY = {"system": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "horizon": 10}
+_MODEL2D = {"system": {"kind": "model2d", "rho": 0.5, "omega": 1.0}, "horizon": 10.0, "step": 0.1}
+_BIRKHOFF = {
+    "kind": "birkhoff",
+    "system": {"kind": "planar_rotation", "rho": 1.0, "phi": 0.3},
+    "v0": [[1.0], [0.0]],
+    "horizon": 250,
+}
 
 
 @pytest.mark.parametrize(
@@ -434,6 +442,15 @@ def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
         ("sweep", dict(_SWEEP, quad={"tau_panels": True}), "tau_panels"),
         ("sweep", dict(_SWEEP, qmax=20.5), "qmax"),
         ("autonomous", {"resonant": dict(_RESONANT, q=2.5)}, "q must"),
+        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 1.5}, "s must"),
+        ("discrete", dict(_IDENTITY, horizon=10.7), "horizon must"),
+        ("discrete", dict(_IDENTITY, s=1.5), "s must"),
+        ("continuous", dict(_MODEL2D, s="1"), "s must"),
+        ("discrete", dict(_IDENTITY, search={"candidates": 3.5}), "candidates must"),
+        ("discrete", dict(_IDENTITY, search={"refine_rounds": True}), "refine_rounds must"),
+        ("continuous", dict(_MODEL2D, search={"sample_count": 12.25}), "sample_count must"),
+        ("oracle", {"kind": "maxmin", "v": "v.csv", "w": "w.csv", "samples": 1000.5}, "samples must"),
+        ("oracle", dict(_BIRKHOFF, horizon=250.5), "horizon must"),
     ],
 )
 def test_non_integral_sizes_are_exit_2(tmp_path, capsys, command, cfg, message):
@@ -456,6 +473,33 @@ def test_oversized_resonance_is_exit_2(tmp_path, capsys, command, cfg, message):
     path = write_config(tmp_path, "q.json", cfg)
     assert main([command, "--config", path]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg,code,message",
+    [
+        ({"kind": "maxmin", "v": "v.csv", "w": "w.csv", "samples": 1e12}, 2, "samples must be in"),
+        ({"kind": "maxmin", "v": "v.csv", "w": "w.csv", "samples": 0}, 2, "samples must be in"),
+        (dict(_BIRKHOFF, horizon=10**9), 4, "exceeds the cost cap"),
+        (dict(_BIRKHOFF, time="continuous", system=_MODEL2D["system"], horizon=1e6, step=1e-3), 4,
+         "exceeds the cost cap"),
+        (dict(_BIRKHOFF, time="continuous", system=_MODEL2D["system"], horizon=1e300, step=1e-300), 4,
+         "exceeds the cost cap"),
+        (dict(_BIRKHOFF, time="continuous", system=_MODEL2D["system"], horizon=1.0, step=0.0), 2,
+         "step must be positive"),
+        (dict(_BIRKHOFF, horizon=0), 2, "at least one step"),
+    ],
+)
+def test_oracle_sizes_are_refused_before_work(tmp_path, capsys, monkeypatch, cfg, code, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr("angval.cli.maxmin_angle", refuse)
+    monkeypatch.setattr("angval.cli.birkhoff_average", refuse)
+    path = write_config(tmp_path, "o.json", cfg)
+    assert main(["oracle", "--config", path]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and "value =" not in captured.out
 
 
 @pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed"])

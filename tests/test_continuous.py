@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
 from angval.continuous import (
+    _MAX_BLOCK,
     ContinuousSystem,
+    _orthonormalize,
+    _speeds,
     _step_powers,
+    _varying_blocks,
     angular_integral,
     estimate_angular_value_ct,
     integral_from_trajectory,
@@ -197,19 +201,98 @@ def _generators(draw):
     return a, haar_subspace(rng, d, s)
 
 
+def _stepwise(gen, h, b0, nsteps):
+    """One-step RK4 with re-orthonormalization at every node: the reference
+    the block path is pinned to.  Returns (bases, integrand)."""
+    d, s = b0.shape
+    integrand = np.empty(nsteps + 1)
+    bases = np.empty((nsteps + 1, d, s))
+    b = b0
+    a = gen(0.0)
+    for k in range(nsteps + 1):
+        k1 = a @ b
+        integrand[k] = _speeds(b, k1)
+        bases[k] = b
+        if k == nsteps:
+            break
+        t = k * h
+        amid = gen(t + 0.5 * h)
+        k2 = amid @ (b + (0.5 * h) * k1)
+        k3 = amid @ (b + (0.5 * h) * k2)
+        a = gen(t + h)
+        k4 = a @ (b + h * k3)
+        b = _orthonormalize(b + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    return bases, integrand
+
+
+def _assert_matches_stepwise(sys, v0, h, nsteps):
+    block = propagate_subspace(sys, v0, nsteps * h, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bases, integrand = _stepwise(sys.matrix, block.times[1], v0.basis, nsteps)
+    assert np.max(np.abs(block.integrand - integrand)) <= 1e-10
+    assert max_angle(Subspace(block.bases[-1]), Subspace(bases[-1])) <= 1e-10
+
+
 # a growth factor of 16 per step overflows 256 unscaled step powers
 _GROWING = (150.0 * np.eye(2) + ComplexBlock(0.0, 1.0, 0.5).matrix(), Subspace(np.eye(2)[:, :1]))
 
 
 @settings(max_examples=60)
-@given(_generators(), st.floats(1e-3, 0.1), st.integers(1, 700))
-@example(_GROWING, 0.02, 600)
-def test_block_path_matches_stepwise(gen, h, nsteps):
+@given(
+    _generators(),
+    st.floats(1e-3, 0.1),
+    st.integers(1, 700),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(_GROWING, 0.02, 600, 1.0, 1.0, 0)
+def test_block_path_matches_stepwise(gen, h, nsteps, omega, amplitude, seed):
+    # the constant generator A, and A(t) = A + sin(omega t) B with a Gaussian
+    # B scaled to the amplitude; with real parts down to -50 and h up to 0.1
+    # both include stiff generators whose blocks are cut short
     a, v0 = gen
-    block = propagate_subspace(ContinuousSystem.from_constant(a), v0, nsteps * h, h)
-    steps = propagate_subspace(ContinuousSystem.time_varying(lambda t: a, a.shape[0]), v0, nsteps * h, h)
-    assert np.max(np.abs(block.integrand - steps.integrand)) <= 1e-10
-    assert max_angle(Subspace(block.bases[-1]), Subspace(steps.bases[-1])) <= 1e-10
+    d = a.shape[0]
+    b = amplitude * np.random.default_rng(seed).standard_normal((d, d))
+    _assert_matches_stepwise(ContinuousSystem.from_constant(a), v0, h, nsteps)
+    _assert_matches_stepwise(ContinuousSystem.time_varying(lambda t: a + math.sin(omega * t) * b, d), v0, h, nsteps)
+
+
+@pytest.mark.parametrize("t_end, h", [(7.3, 0.0123), (0.05, 0.02), (3.0, 1.0)])
+def test_generator_call_times_match_stepwise(t_end, h):
+    # one call at 0 and two per step, at the float times of one-step RK4, in
+    # its order and never past t_end, also when stiff blocks are cut short
+    a = block_diag(ComplexBlock(0.0, 1.0, 0.5).matrix(), ComplexBlock(-50.0, 1.0, 1.0).matrix())
+    calls = []
+
+    def gen(t):
+        calls.append(t)
+        return a
+
+    sys = ContinuousSystem.time_varying(gen, 4)
+    propagate_subspace(sys, Subspace(np.eye(4)[:, :2]), t_end, h)
+    got, calls[:] = list(calls), []
+    nsteps = max(int(round(t_end / h)), 1)
+    _stepwise(gen, t_end / nsteps, np.eye(4)[:, :2], nsteps)
+    assert got == calls
+    assert len(got) == 2 * nsteps + 1
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_kinematic_transform_matches_stepwise(s):
+    # the benchmark's time-varying case: a two-block 4x4 flow with decay -1 on
+    # the second block, seen through Q(t) = (1 + sin(t)/2) I, over 2500 steps
+    a = block_diag(ComplexBlock(0.0, 1.1, 0.4).matrix(), ComplexBlock(-1.0, 0.7, 0.8).matrix())
+    sys = kinematic_transform_ct(
+        ContinuousSystem.from_constant(a),
+        lambda t: (1.0 + 0.5 * math.sin(t)) * np.eye(4),
+        lambda t: 0.5 * math.cos(t) * np.eye(4),
+    )
+    v0 = Subspace(np.eye(4)[:, [0, 2]][:, :s])
+    block = propagate_subspace(sys, v0, 50.0, 0.02)
+    bases, integrand = _stepwise(sys.matrix, 0.02, v0.basis, 2500)
+    assert np.max(np.abs(block.integrand - integrand) / np.maximum(1.0, np.abs(integrand))) <= 1e-13
+    assert np.max(np.abs(block.bases - bases)) <= 1e-12
 
 
 def test_block_length_shrinks_with_spectral_gap():
@@ -218,6 +301,21 @@ def test_block_length_shrinks_with_spectral_gap():
     assert len(_step_powers(rot, 0.02, 100)) == 100
     fast = ComplexBlock(-50.0, 1.0, 1.0).matrix()
     assert 1 < len(_step_powers(block_diag(rot, fast), 0.02, 10**6)) < 20
+
+
+def test_varying_blocks_stay_within_chunks():
+    # blocks never span two chunks of _MAX_BLOCK step maps, and a stiff
+    # time-varying generator is cut below 20 steps as its frozen twin is
+    rot = ComplexBlock(0.0, 1.0, 0.5).matrix()
+
+    def lengths(a):
+        blocks = _varying_blocks(lambda t: a + 0.3 * math.sin(t) * np.eye(4), 0.02, 600, a)
+        return [len(prods) for prods, _ in blocks]
+
+    assert lengths(block_diag(rot, rot)) == [_MAX_BLOCK, _MAX_BLOCK, 600 - 2 * _MAX_BLOCK]
+    stiff = lengths(block_diag(rot, ComplexBlock(-50.0, 1.0, 1.0).matrix()))
+    assert sum(stiff) == 600
+    assert max(stiff) < 20
 
 
 @pytest.mark.parametrize("s", [1, 2])

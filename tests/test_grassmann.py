@@ -24,7 +24,7 @@ from angval.grassmann import (
     subspace_from_spanning,
     subspaces_equal,
 )
-from angval.oracles import maxmin_angle, procrustes_bruteforce
+from angval.oracles import _angle_between_orthonormal, maxmin_angle, procrustes_bruteforce
 
 
 def planar_pair(d, t, i=0, j=1):
@@ -239,6 +239,30 @@ def test_angles_match_prescribed(pair):
     res = principal_angles(Subspace(v), Subspace(w))
     assert np.max(np.abs(res.angles - np.sort(theta))) <= 1e-12
     assert abs(max_angle_between_bases(v, w) - theta.max()) <= 1e-12
+
+
+@st.composite
+def _hard_angle_pairs(draw):
+    """Orthonormal bases of s-dimensional subspaces, s = 1..4, built as in
+    _prescribed_angles, whose angles mix generic values with nearly parallel
+    ones (down to 1e-9) and ones within 1e-9 of pi/2, where the cross-Gram
+    matrix is nearly rank-deficient."""
+    s = draw(st.integers(1, 4))
+    d = draw(st.integers(2 * s, 2 * s + 2))
+    tiny = st.floats(0.0, 9.0).map(lambda u: 10.0**-u)
+    angle = st.one_of(tiny, tiny.map(lambda x: math.pi / 2 - x), st.floats(0.0, math.pi / 2))
+    theta = np.array(draw(st.lists(angle, min_size=s, max_size=s)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_orthogonal(rng, d)
+    w = q[:, :s] * np.cos(theta) + q[:, s : 2 * s] * np.sin(theta)
+    return q[:, :s] @ random_orthogonal(rng, s), w @ random_orthogonal(rng, s)
+
+
+@settings(max_examples=300)
+@given(_hard_angle_pairs())
+def test_max_angle_kernel_matches_oracle(pair):
+    v, w = pair
+    assert abs(max_angle_between_bases(v, w) - _angle_between_orthonormal(v, w)) <= 1e-12
 
 
 def test_maxmin_oracle_coordinate_planes():
