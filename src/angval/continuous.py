@@ -1,6 +1,7 @@
 """Continuous-time linear systems u' = A(t) u: subspace propagation by
-classical Runge-Kutta with re-orthonormalization at every node, angle
-integrals, and angular value estimates."""
+classical Runge-Kutta on the block path of blocks.py, with
+re-orthonormalization at every node, angle integrals, and angular value
+estimates."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .blocks import _MAX_BLOCK, _cut_blocks, _orthonormalize, _quiet, _unit_powers
 from .errors import StepUnstable
 from .search import default_sample_times, run_search
 
@@ -52,108 +54,38 @@ class SubspaceTrajectory:
     integrand: np.ndarray
 
 
-# Every generator is propagated in blocks: B nodes are carried from one
-# orthonormal basis by the products M_j ... M_1 of the RK4 step maps and
-# orthonormalized together.  That is as accurate as stepping while the
-# products stay well conditioned, so B is the longest leading run of
-# products, up to _MAX_BLOCK, whose condition number is at most _BLOCK_COND.
-# A constant generator has one step matrix M, whose powers are formed once.
-_MAX_BLOCK = 256
-_BLOCK_COND = 1e4
-_RANK_TOL = 1e-10  # qr_thin's default
-
-# overflow/invalid during a blown-up step is reported via StepUnstable, not
-# as a numpy warning
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
-def _well_conditioned(prods):
-    """Length, at least 1, of the longest leading run of a (B, d, d) stack
-    whose condition numbers are at most _BLOCK_COND."""
-    finite = np.all(np.isfinite(prods), axis=(1, 2))
-    cond = np.full(len(prods), np.inf)
-    sigma = np.linalg.svd(prods[finite], compute_uv=False)
-    cond[finite] = sigma[:, 0] / sigma[:, -1]
-    ok = cond <= _BLOCK_COND  # 0/0 is nan: a zero product fails too
-    return len(prods) if ok.all() else max(int(np.argmin(ok)), 1)
-
-
 @_quiet
 def _step_powers(a, h, nsteps):
-    """Stack (B, d, d) of the powers of the RK4 step matrix M, each scaled to
-    unit norm, which keeps the spans they carry and keeps long blocks of
-    growing or decaying steps from overflowing or underflowing."""
+    """Unit-scaled powers of the RK4 step matrix of a constant generator."""
     # classical RK4 on W' = A W with constant A collapses to the degree-4
     # Taylor polynomial of exp(h A), here in Horner form
-    powers = np.eye(len(a))
+    m = np.eye(len(a))
     for j in (4, 3, 2, 1):
-        powers = np.eye(len(a)) + (h / j) * (a @ powers)
-    powers = powers[None]
-    cap = min(_MAX_BLOCK, nsteps)
-    while len(powers) < cap:
-        powers = np.concatenate([powers, powers @ powers[-1]])
-        powers /= np.linalg.norm(powers, axis=(1, 2), keepdims=True)
-    return powers[: _well_conditioned(powers[:cap])]
-
-
-def _prefix_products(maps):
-    """Products M_j ... M_1 (j = 1..n) of a stack of n maps, each scaled to
-    unit norm, by a scan of about log2(n) stacked products."""
-    prods = maps / np.linalg.norm(maps, axis=(1, 2), keepdims=True)
-    span = 1
-    while span < len(prods):
-        prods = np.concatenate([prods[:span], prods[span:] @ prods[:-span]])
-        prods /= np.linalg.norm(prods, axis=(1, 2), keepdims=True)
-        span *= 2
-    return prods
+        m = np.eye(len(a)) + (h / j) * (a @ m)
+    return _unit_powers(m, nsteps)
 
 
 def _varying_blocks(gen, h, nsteps, a0):
     """Yield the blocks (unit-scaled products, A at their end nodes) of a
     time-varying generator.  The RK4 step maps of up to _MAX_BLOCK steps at a
-    time come from one generator call at each of the times one-step RK4 uses;
-    after a block is cut short, the next forms its products only up to that
-    length, and each block that is not cut doubles the length tried."""
+    time come from one generator call at each of the times one-step RK4 uses."""
     eye = np.eye(len(a0))
-    tried = _MAX_BLOCK
-    for k0 in range(0, nsteps, _MAX_BLOCK):
-        amid, nodes = [], [a0]
-        for k in range(k0, min(k0 + _MAX_BLOCK, nsteps)):
-            t = k * h
-            amid.append(gen(t + 0.5 * h))
-            nodes.append(gen(t + h))
-        amid, nodes = np.array(amid), np.array(nodes)
-        k2 = amid @ (eye + (0.5 * h) * nodes[:-1])
-        k3 = amid @ (eye + (0.5 * h) * k2)
-        k4 = nodes[1:] @ (eye + h * k3)
-        maps = eye + (h / 6.0) * (nodes[:-1] + 2.0 * (k2 + k3) + k4)
-        j = 0
-        while j < len(maps):
-            prods = _prefix_products(maps[j : j + tried])
-            b = _well_conditioned(prods)
-            yield prods[:b], nodes[j + 1 : j + 1 + b]
-            tried = b if b < len(prods) else min(2 * tried, _MAX_BLOCK)
-            j += b
-        a0 = nodes[-1]
 
+    def chunks(a0):
+        for k0 in range(0, nsteps, _MAX_BLOCK):
+            amid, nodes = [], [a0]
+            for k in range(k0, min(k0 + _MAX_BLOCK, nsteps)):
+                t = k * h
+                amid.append(gen(t + 0.5 * h))
+                nodes.append(gen(t + h))
+            amid, nodes = np.array(amid), np.array(nodes)
+            k2 = amid @ (eye + (0.5 * h) * nodes[:-1])
+            k3 = amid @ (eye + (0.5 * h) * k2)
+            k4 = nodes[1:] @ (eye + h * k3)
+            yield eye + (h / 6.0) * (nodes[:-1] + 2.0 * (k2 + k3) + k4), nodes[1:]
+            a0 = nodes[-1]
 
-def _orthonormalize(w):
-    """Orthonormal factor of a (d, s) basis or of each member of an (n, d, s)
-    stack, with diag R >= 0 and qr_thin's rank test; an overflowed or
-    rank-deficient basis raises StepUnstable."""
-    scale = np.sqrt(np.einsum("...ij,...ij->...", w, w))
-    if not np.isfinite(scale).all():
-        raise StepUnstable("propagated basis overflowed or has non-finite entries")
-    if w.shape[-1] == 1:
-        # one column: R is its norm, and the rank test is "nonzero column"
-        if not (scale > 0.0).all():
-            raise StepUnstable("propagated basis lost rank")
-        return w / scale[..., None, None]
-    q, r = np.linalg.qr(w)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if (np.abs(diag) <= _RANK_TOL * scale[..., None]).any():
-        raise StepUnstable("propagated basis lost rank")
-    return q * np.sign(diag)[..., None, :]
+    return _cut_blocks(chunks(a0))
 
 
 def _speeds(q, aq):
@@ -212,6 +144,8 @@ def _propagator(sys, h, nsteps):
 
 
 def _resolve_steps(t_end, h):
+    if not (t_end > 0.0 and h > 0.0):
+        raise ValueError("need a positive horizon and step, got %r and %r" % (t_end, h))
     nsteps = max(int(round(t_end / h)), 1)
     return nsteps, t_end / nsteps
 
@@ -261,6 +195,8 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     nsteps, h = _resolve_steps(horizon, step)
     if config.sample_times is not None:
         raw = np.asarray(config.sample_times, dtype=float)
+        if raw.min() <= 0.0 or raw.max() > horizon:
+            raise ValueError("sample times must lie in (0, horizon]")
     else:
         raw = default_sample_times(horizon, config.sample_count, discrete=False)
     idx = np.unique(np.clip(np.round(raw / h).astype(int), 1, nsteps))

@@ -1,26 +1,31 @@
 """Discrete-time linear systems u_{n+1} = A_n u_n: solution operators,
-angle sums along propagated subspaces, and angular value estimates."""
+angle sums along subspaces propagated on the block path of blocks.py, and
+angular value estimates."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RankDeficient, SingularMatrix
-from .grassmann import _SINE_PATH_THRESHOLD, max_angle_between_bases
-from .linalg import qr_thin, rotation
+from .blocks import _MAX_BLOCK, _cut_blocks, _orthonormalize, _quiet, _unit_powers
+from .errors import SingularMatrix, StepUnstable
+from .grassmann import max_angle_between_bases
+from .linalg import rotation
 from .search import default_sample_times, run_search
 
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Step matrices A_n indexed by n >= 0, produced by `generator`."""
+    """Step matrices A_n indexed by n >= 0, produced by `generator`.
+    `constant_matrix` holds the matrix when A_n does not depend on n, which
+    unlocks propagation by precomputed powers of it."""
 
     generator: Callable[[int], np.ndarray]
     dim: int
+    constant_matrix: Optional[np.ndarray] = None
 
     def matrix(self, n):
         return self.generator(int(n))
@@ -28,12 +33,14 @@ class DiscreteSystem:
     @staticmethod
     def constant(a):
         a = np.asarray(a, dtype=float)
-        return DiscreteSystem(generator=lambda n: a, dim=a.shape[0])
+        return DiscreteSystem(generator=lambda n: a, dim=a.shape[0], constant_matrix=a)
 
     @staticmethod
     def from_sequence(mats, cycle=False):
         mats = [np.asarray(m, dtype=float) for m in mats]
         k = len(mats)
+        if k == 0:
+            raise ValueError("a matrix sequence needs at least one matrix")
 
         def gen(n):
             if cycle:
@@ -45,10 +52,11 @@ class DiscreteSystem:
     @staticmethod
     def planar_rotation(rho, phi):
         """The 2x2 map D_rho T_phi D_rho^{-1}: a rotation sheared to an ellipse."""
+        if not (math.isfinite(rho) and rho != 0.0):
+            raise ValueError("rho must be finite and nonzero, got %r" % (rho,))
         d = np.diag([1.0, rho])
         dinv = np.diag([1.0, 1.0 / rho])
-        a = d @ rotation(phi) @ dinv
-        return DiscreteSystem(generator=lambda n: a, dim=2)
+        return DiscreteSystem.constant(d @ rotation(phi) @ dinv)
 
 
 def solution_operator(sys, n, m):
@@ -72,76 +80,56 @@ def solution_operator(sys, n, m):
     return out
 
 
-def _push_basis(a, b):
-    try:
-        q, _ = qr_thin(a @ b)
-    except RankDeficient as exc:
-        raise SingularMatrix("step matrix collapses the propagated subspace") from exc
-    return q
+def _propagator(sys, n):
+    """sums(b0, times, m=1) -> the angle sums a_{m,j}(span b0) at each j of
+    the sorted times in [1, n], over n steps on the shared block path, in
+    blocks of powers formed here for a constant system, of step-map products
+    formed per propagation otherwise.  Memory is bounded by the block size
+    and the number of times, not by n."""
+    a = sys.constant_matrix
+    powers = None if a is None else _unit_powers(a, n)
+
+    def blocks():
+        # (unit-scaled products, the indices of the nodes they reach)
+        if powers is not None:
+            for k in range(0, n, len(powers)):
+                yield powers[: n - k], range(k + 1, n + 1)[: len(powers)]
+            return
+        steps = (range(k0, min(k0 + _MAX_BLOCK, n)) for k0 in range(0, n, _MAX_BLOCK))
+        chunks = ((np.array([sys.matrix(k) for k in ks]), range(ks.start + 1, ks.stop + 1)) for ks in steps)
+        yield from _cut_blocks(chunks)
+
+    @_quiet
+    def sums(b0, times, m=1):
+        out = np.empty(len(times))
+        total, ptr, q = 0.0, 0, b0
+        for prods, ends in blocks():
+            try:
+                nodes = _orthonormalize(prods @ q)
+            except StepUnstable as exc:
+                raise SingularMatrix("step matrix collapses the propagated subspace") from exc
+            skip = min(max(m - ends[0], 0), len(nodes))  # nodes before m add nothing
+            prev = [q, *nodes[:-1]]
+            angles = [0.0] * skip + [max_angle_between_bases(u, w) for u, w in zip(prev[skip:], nodes[skip:])]
+            running = np.cumsum([total, *angles])
+            hi = np.searchsorted(times, ends[-1], side="right")
+            out[ptr:hi] = running[times[ptr:hi] - ends[0] + 1]
+            total, ptr, q = running[-1], hi, nodes[-1]
+        return out
+
+    return sums
 
 
 def angle_sum(sys, v, m, n):
     """Sum of successive maximal principal angles along the orbit of V.
 
-    a_{m,n}(V) = sum_{j=m}^{n} angle(Phi(j-1,0) V, Phi(j,0) V), computed
-    incrementally with re-orthonormalization at every step.
+    a_{m,n}(V) = sum_{j=m}^{n} angle(Phi(j-1,0) V, Phi(j,0) V), with the
+    subspaces carried on the block path and re-orthonormalized at every node.
     """
     m, n = int(m), int(n)
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
-    b = v.basis
-    total = 0.0
-    for j in range(1, n + 1):
-        nxt = _push_basis(sys.matrix(j - 1), b)
-        if j >= m:
-            total += max_angle_between_bases(b, nxt)
-        b = nxt
-    return total
-
-
-def _cesaro_line_samples(sys, b0, times):
-    """Cesaro averages (1/n) a_{1,n} for a single line, at the sample times."""
-    b = b0[:, 0].copy()
-    total = 0.0
-    out = np.empty(len(times))
-    ptr = 0
-    nmax = int(times[-1])
-    for j in range(1, nmax + 1):
-        w = sys.matrix(j - 1) @ b
-        nw = math.sqrt(float(w @ w))
-        if nw == 0.0 or not math.isfinite(nw):
-            raise SingularMatrix("step matrix collapses the propagated line")
-        w = w / nw
-        c = abs(float(b @ w))
-        if c > _SINE_PATH_THRESHOLD:
-            resid = w - b * float(b @ w)
-            sine = math.sqrt(float(resid @ resid))
-            total += math.asin(min(sine, 1.0))
-        else:
-            total += math.acos(min(c, 1.0))
-        b = w
-        while ptr < len(times) and times[ptr] == j:
-            out[ptr] = total / j
-            ptr += 1
-    return out
-
-
-def _cesaro_samples(sys, b0, times):
-    if b0.shape[1] == 1:
-        return _cesaro_line_samples(sys, b0, times)
-    b = b0
-    total = 0.0
-    out = np.empty(len(times))
-    ptr = 0
-    nmax = int(times[-1])
-    for j in range(1, nmax + 1):
-        nxt = _push_basis(sys.matrix(j - 1), b)
-        total += max_angle_between_bases(b, nxt)
-        b = nxt
-        while ptr < len(times) and times[ptr] == j:
-            out[ptr] = total / j
-            ptr += 1
-    return out
+    return float(_propagator(sys, n)(v.basis, np.array([n]), m)[0])
 
 
 def estimate_angular_value(sys, s, variant, horizon, config):
@@ -159,8 +147,10 @@ def estimate_angular_value(sys, s, variant, horizon, config):
     else:
         times = default_sample_times(int(horizon), config.sample_count, discrete=True)
 
+    sums = _propagator(sys, int(times[-1]))
+
     def evaluate(basis):
-        return _cesaro_samples(sys, basis, times)
+        return sums(basis, times) / times
 
     return run_search(
         evaluate,

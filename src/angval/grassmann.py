@@ -133,10 +133,17 @@ def max_angle_between_bases(b1, b2):
     principal_angles(...).angles[-1].
     """
     s = b1.shape[1]
-    g = b1.T @ b2
     if s == 1:
-        c = abs(float(g[0, 0]))
-    elif s == 2:
+        # two lines: the cosine is |<b1, b2>| and the sine the norm of the
+        # residual, in scalar arithmetic (this runs once per propagated node)
+        dot = float(np.vdot(b1, b2))
+        c = min(abs(dot), 1.0)
+        if c > _SINE_PATH_THRESHOLD:
+            r = (b2 - dot * b1).ravel()
+            return math.asin(min(math.sqrt(float(r @ r)), 1.0))
+        return math.acos(c)
+    g = b1.T @ b2
+    if s == 2:
         c = _gram_sigma_min_2x2(g)
     else:
         c = float(singular_values(g)[-1])

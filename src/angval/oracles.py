@@ -54,6 +54,8 @@ def maxmin_angle(v, w, samples=10**6, seed=0):
 
 def fd_angle_derivative(w, wdot, h):
     """Forward difference of the max principal angle along t -> span(w + t wdot)."""
+    if h == 0.0:
+        raise ValueError("the difference step h must be nonzero")
     w = np.asarray(w, dtype=float)
     wdot = np.asarray(wdot, dtype=float)
     q0, _ = np.linalg.qr(w)

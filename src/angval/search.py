@@ -34,6 +34,14 @@ class SubspaceSearchConfig:
     sample_times: Optional[Sequence] = None
     cost_cap: float = 5e7
 
+    def __post_init__(self):
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be at least 1, got %r" % (self.sample_count,))
+        if self.sample_times is not None and len(self.sample_times) == 0:
+            raise ValueError("sample_times must not be empty")
+        if not 0.0 <= self.tail_fraction <= 1.0:
+            raise ValueError("tail_fraction must lie in [0, 1], got %r" % (self.tail_fraction,))
+
 
 @dataclass(frozen=True)
 class AngularValueReport:
@@ -88,6 +96,8 @@ def run_search(evaluate, d, s, variant, horizon, times, config, steps_per_eval):
     """
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r, expected one of %s" % (variant, (VARIANTS,)))
+    if not 1 <= s <= d:
+        raise ValueError("s must lie in 1..%d for a %d-dimensional system, got %r" % (d, d, s))
     times = np.asarray(times)
     tail_mask = times >= horizon * config.tail_fraction
     if not np.any(tail_mask):

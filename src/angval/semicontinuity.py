@@ -28,7 +28,6 @@ from .autonomous import (
     angular_value_resonant_4d,
     rational_approximation,
 )
-from .errors import AngvalError
 from .linalg import ComplexBlock, rotation
 
 TWO_PI = 2.0 * math.pi
@@ -97,73 +96,61 @@ def tag_angle(phi, qmax=10**4, tol=1e-12):
     return classify_ratio(phi / TWO_PI, qmax=qmax, tol=tol)
 
 
-def _circle_points(n, offset=0.0):
-    theta = offset + np.arange(n) * (TWO_PI / n)
-    return np.vstack([np.cos(theta), np.sin(theta)])
+def _circle_points(angles):
+    return np.vstack([np.cos(angles), np.sin(angles)])
 
 
 def f_infinity(f, x, phi, lam, tag, grid=4096):
     """Orbit average of f under the rotation by phi, per the tag.
 
-    Rational tags produce the exact q-term average starting at x; the
-    irrational branch returns the circle average (trapezoid on a uniform
-    periodic grid), which does not depend on x at all.
+    f(x, phi, lam) maps a (2, m) array of points to their m values.  x is
+    one point or a (2, m) array of starting points; the result is a float
+    or the m averages.  Rational tags produce the exact q-term averages
+    starting at x, in q array passes; the irrational branch returns the
+    circle average (trapezoid on a uniform periodic grid), which does not
+    depend on x at all.
     """
     if not isinstance(tag, RationalTag):
         raise TypeError("tag must be a RationalTag")
+    x = np.asarray(x, dtype=float)
     if tag.rational:
-        q = tag.q
-        xj = np.asarray(x, dtype=float).reshape(2)
+        xj = x.reshape(2, -1)
         step = rotation(phi)
-        total = 0.0
-        for _ in range(q):
-            total += float(f(xj, phi, lam))
+        total = np.zeros(xj.shape[1])
+        for _ in range(tag.q):
+            total += f(xj, phi, lam)
             xj = step @ xj
-        return total / q
-    pts = _circle_points(int(grid))
-    total = 0.0
-    for k in range(pts.shape[1]):
-        total += float(f(pts[:, k], phi, lam))
-    return total / pts.shape[1]
+        avg = total / tag.q
+    else:
+        pts = _circle_points(np.arange(int(grid)) * (TWO_PI / int(grid)))
+        avg = np.full(x.size // 2, f(pts, phi, lam).mean())
+    return float(avg[0]) if x.ndim == 1 else avg
 
 
 def theta_infinity(f, phi, lam, tag, torus_grid=4096):
     """sup over starting points of the orbit average f_infinity.
 
-    The irrational branch is grid-free: the average is evaluated at two
-    probe points and checked to agree (it cannot depend on the start).
-    The rational branch scans a uniform grid of starting points and
-    refines once around the best cell with 8x finer spacing.
+    The irrational branch is grid-free: its average does not depend on the
+    start, so one point is enough.  The rational branch scans a uniform
+    grid of starting points in one call of f_infinity and refines in one
+    more, around the best cell with 8x finer spacing.
     """
-    if tag.rational:
-        n = int(torus_grid)
-        h = TWO_PI / n
-        angles = np.arange(n) * h
-        vals = [
-            f_infinity(f, np.array([math.cos(a), math.sin(a)]), phi, lam, tag)
-            for a in angles
-        ]
-        k = int(np.argmax(vals))
-        best = vals[k]
-        for a in angles[k] + np.linspace(-h, h, 17):
-            v = f_infinity(f, np.array([math.cos(a), math.sin(a)]), phi, lam, tag)
-            if v > best:
-                best = v
-        return best
-    probes = (np.array([1.0, 0.0]), np.array([-0.6, 0.8]))
-    v0 = f_infinity(f, probes[0], phi, lam, tag, grid=torus_grid)
-    v1 = f_infinity(f, probes[1], phi, lam, tag, grid=torus_grid)
-    if abs(v0 - v1) > 1e-10:
-        raise AngvalError("irrational-branch average depends on the start point")
-    return v0
+    if not tag.rational:
+        return f_infinity(f, np.array([1.0, 0.0]), phi, lam, tag, grid=torus_grid)
+    h = TWO_PI / int(torus_grid)
+    angles = np.arange(int(torus_grid)) * h
+    vals = f_infinity(f, _circle_points(angles), phi, lam, tag)
+    k = int(np.argmax(vals))
+    fine = f_infinity(f, _circle_points(angles[k] + np.linspace(-h, h, 17)), phi, lam, tag)
+    return float(max(vals[k], fine.max()))
 
 
 def _line_angle(u, v):
-    # principal angle between span(u) and span(v) for 2-vectors; the
-    # cross/dot form stays fully accurate at both ends of [0, pi/2]
-    dot = float(u[0] * v[0] + u[1] * v[1])
-    cross = float(u[0] * v[1] - u[1] * v[0])
-    return math.atan2(abs(cross), abs(dot))
+    # principal angles between span(u[:, k]) and span(v[:, k]) for 2-vectors;
+    # the cross/dot form stays fully accurate at both ends of [0, pi/2]
+    dot = u[0] * v[0] + u[1] * v[1]
+    cross = u[0] * v[1] - u[1] * v[0]
+    return np.arctan2(np.abs(cross), np.abs(dot))
 
 
 def discrete2d_theta1(phi, rho, tag=None, torus_grid=4096):
@@ -186,8 +173,7 @@ def discrete2d_theta1(phi, rho, tag=None, torus_grid=4096):
     t = rotation(phi)
 
     def f(x, _phi, _rho):
-        u = d @ x
-        return _line_angle(u, d @ (t @ x))
+        return _line_angle(d @ x, d @ (t @ x))
 
     val = theta_infinity(f, phi, rho, tag, torus_grid=torus_grid)
     return min(max(val, 0.0), math.pi / 2.0)

@@ -536,3 +536,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("angval ")
+
+
+_PLANAR = {"system": {"kind": "planar_rotation", "rho": 0.5, "phi": 0.3}, "horizon": 10}
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
+        ("continuous", dict(_MODEL2D, step=0), "positive horizon and step"),
+        ("continuous", dict(_MODEL2D, horizon=-5), "positive horizon and step"),
+        ("continuous", dict(_MODEL2D, search={"sample_times": [0.0]}), "sample times must lie"),
+        ("discrete", dict(_IDENTITY, s=0), "s must lie in 1..2"),
+        ("discrete", dict(_IDENTITY, s=3), "s must lie in 1..2"),
+        ("continuous", dict(_MODEL2D, s=0), "s must lie in 1..2"),
+        ("discrete", dict(_IDENTITY, search={"sample_count": 0}), "sample_count must be"),
+        ("continuous", dict(_MODEL2D, search={"sample_count": 0}), "sample_count must be"),
+        ("discrete", dict(_IDENTITY, search={"sample_times": []}), "sample_times must not be empty"),
+        ("continuous", dict(_MODEL2D, search={"sample_times": []}), "sample_times must not be empty"),
+        ("discrete", dict(_IDENTITY, search={"tail_fraction": 2.0}), "tail_fraction must lie"),
+        ("discrete", dict(_IDENTITY, system={"kind": "cycle", "matrices": []}), "at least one matrix"),
+        ("discrete", dict(_PLANAR, system=dict(_PLANAR["system"], rho=0)), "rho must be"),
+        ("oracle", {"kind": "fd_derivative", "w": "w.csv", "wdot": "w.csv", "h": 0}, "h must be nonzero"),
+    ],
+)
+def test_degenerate_estimator_inputs_are_exit_2(tmp_path, capsys, monkeypatch, command, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(tmp_path / "w.csv", np.eye(3, 1))
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "value =" not in captured.out

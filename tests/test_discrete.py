@@ -1,20 +1,31 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import haar_subspace
+from conftest import haar_subspace, random_orthogonal
 
+from angval import discrete
+from angval.blocks import _MAX_BLOCK
 from angval.discrete import (
     DiscreteSystem,
+    _propagator,
     angle_sum,
     estimate_angular_value,
     kinematic_transform,
     solution_operator,
 )
-from angval.errors import BudgetExceeded, SingularMatrix
-from angval.grassmann import coordinate_subspace, principal_angles, subspace_from_spanning
-from angval.linalg import rotation
+from angval.errors import BudgetExceeded, RankDeficient, SingularMatrix
+from angval.grassmann import (
+    coordinate_subspace,
+    max_angle_between_bases,
+    principal_angles,
+    subspace_from_spanning,
+)
+from angval.linalg import qr_thin, rotation
 from angval.oracles import birkhoff_average
 from angval.search import VARIANTS, SubspaceSearchConfig
 
@@ -184,3 +195,117 @@ def test_planar_rotation_matrix_shape():
     expected = np.diag([1.0, 0.5]) @ rotation(0.4) @ np.diag([1.0, 2.0])
     assert np.allclose(sys.matrix(0), expected)
     assert np.allclose(sys.matrix(9), expected)
+
+
+def _stepwise_sums(sys, b0, n):
+    """The per-step loop the block path replaced: push the basis through one
+    step matrix, re-orthonormalize, add the angle.  Returns a_{1,j} for
+    j = 1..n."""
+    b, total, out = b0, 0.0, np.empty(n)
+    for j in range(1, n + 1):
+        try:
+            nxt, _ = qr_thin(sys.matrix(j - 1) @ b)
+        except RankDeficient as exc:
+            raise SingularMatrix("step matrix collapses the propagated subspace") from exc
+        total += max_angle_between_bases(b, nxt)
+        out[j - 1] = total
+        b = nxt
+    return out
+
+
+@st.composite
+def _discrete_orbits(draw):
+    """(system, starting basis, horizon) with d in 2..6 and 1 <= s < d: a
+    constant map (sheared rotations with moduli in [0.5, 2] in a non-normal
+    frame, scaled by 10^-2..10^2, so growing, decaying and non-normal), a
+    cycle of perturbed identities, or a kinematic transform of such a cycle."""
+    d = draw(st.integers(2, 6))
+    s = draw(st.integers(1, d - 1))
+    kind = draw(st.sampled_from(["constant", "cycle", "kinematic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        blocks = np.zeros((d, d))
+        for k in range(0, d - 1, 2):
+            shear = rng.uniform(0.2, 1.0)
+            blocks[k : k + 2, k : k + 2] = rng.uniform(0.5, 2.0) * (
+                np.diag([1.0, shear]) @ rotation(rng.uniform(0.0, math.pi)) @ np.diag([1.0, 1.0 / shear])
+            )
+        if d % 2:
+            blocks[-1, -1] = rng.uniform(-2.0, 2.0)
+        frame = np.eye(d) + draw(st.floats(0.0, 1.0)) * rng.standard_normal((d, d))
+        a = 10.0 ** draw(st.floats(-2.0, 2.0)) * frame @ blocks @ np.linalg.inv(frame)
+        sys = DiscreteSystem.constant(a)
+    else:
+        spread = draw(st.floats(0.05, 1.0))
+        mats = [np.eye(d) + spread * rng.standard_normal((d, d)) for _ in range(draw(st.integers(1, 8)))]
+        sys = DiscreteSystem.from_sequence(mats, cycle=True)
+        if kind == "kinematic":
+            qs = [np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(5)]
+            sys = kinematic_transform(sys, lambda n: qs[n % len(qs)])
+    return sys, haar_subspace(rng, d, s).basis, draw(st.integers(1, 700))
+
+
+# a singular-value gap of 10^3 per step cuts every block to one step
+_GAP = (
+    DiscreteSystem.constant(random_orthogonal(np.random.default_rng(1), 4) @ np.diag([1.0, 1e-3, 1.0, 1e-3])),
+    haar_subspace(np.random.default_rng(2), 4, 2).basis,
+    300,
+)
+# the third step maps every plane of R^3 onto the line e1
+_COLLAPSE = (
+    DiscreteSystem.from_sequence([np.eye(3) + 0.1, np.eye(3), np.diag([1.0, 0.0, 0.0])], cycle=True),
+    np.eye(3)[:, 1:],
+    10,
+)
+
+
+@settings(max_examples=60)
+@given(_discrete_orbits())
+@example(_GAP)
+@example(_COLLAPSE)
+def test_block_path_matches_stepwise(orbit):
+    # every running sum a_{1,j}, and a window sum, within 1e-10 relative to
+    # max(1, the sum) of the per-step loop; a step that collapses the
+    # subspace raises SingularMatrix on both paths
+    sys, b0, n = orbit
+    try:
+        want = _stepwise_sums(sys, b0, n)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            _propagator(sys, n)(b0, np.arange(1, n + 1))
+        return
+    got = _propagator(sys, n)(b0, np.arange(1, n + 1))
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+    m = (n + 1) // 2
+    window = want[-1] - (want[m - 2] if m > 1 else 0.0)
+    assert abs(angle_sum(sys, subspace_from_spanning(b0), m, n) - window) <= 1e-10 * max(abs(window), 1.0)
+
+
+def test_constant_orthogonal_map_is_one_block(monkeypatch):
+    calls = []
+    orthonormalize = discrete._orthonormalize
+    monkeypatch.setattr(discrete, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
+    q = random_orthogonal(np.random.default_rng(2), 5)
+    v = haar_subspace(np.random.default_rng(3), 5, 2)
+    angle_sum(DiscreteSystem.constant(q), v, 1, _MAX_BLOCK)
+    assert calls == [_MAX_BLOCK]
+
+
+def test_memory_is_bounded_by_the_block_not_the_horizon():
+    # an array of n angles alone would take 1.6 MB
+    n = 2 * 10**5
+    sys = DiscreteSystem.planar_rotation(rho=1.0, phi=0.3)
+    v = coordinate_subspace(2, [0])
+    cfg = SubspaceSearchConfig(seed=0, candidates=1, refine_rounds=0)
+    # numpy's first Generator and QR allocate about 1 MB once; keep that out
+    estimate_angular_value(sys, 1, "sup-limsup", 10, cfg)
+    tracemalloc.start()
+    try:
+        total = angle_sum(sys, v, 1, n)
+        rep = estimate_angular_value(sys, 1, "sup-limsup", n, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == pytest.approx(0.3 * n, rel=1e-10)
+    assert rep.evaluations == 1 and rep.value == pytest.approx(0.3, rel=1e-10)
+    assert peak < 10**6, "peak %d bytes" % peak

@@ -26,7 +26,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def smooth_f(x, phi, lam):
-    return math.exp(x[0]) * (1.0 + 0.3 * x[1]) + 0.1 * lam
+    return np.exp(x[0]) * (1.0 + 0.3 * x[1]) + 0.1 * lam
 
 
 def test_tag_angle_endpoints_and_quarter_turn():
@@ -54,7 +54,7 @@ def test_classify_ratio_grid_points():
 
 
 def test_f_infinity_constant_both_branches():
-    const = lambda x, phi, lam: 2.5
+    const = lambda x, phi, lam: np.full(x.shape[1], 2.5)
     x = np.array([1.0, 0.0])
     rat = f_infinity(const, x, math.pi / 2, 0.0, tag_angle(math.pi / 2))
     irr = f_infinity(const, x, 2.0, 0.0, RationalTag("irrational", 2.0 / TWO_PI))
@@ -109,7 +109,7 @@ def test_f_infinity_irrational_matches_birkhoff_sum():
 
 
 def test_theta_infinity_constant():
-    const = lambda x, phi, lam: -0.75
+    const = lambda x, phi, lam: np.full(x.shape[1], -0.75)
     assert theta_infinity(const, math.pi, 0.0, tag_angle(math.pi)) == -0.75
     assert theta_infinity(const, 2.0, 0.0, RationalTag("irrational", 2.0 / TWO_PI)) == -0.75
 
@@ -178,6 +178,25 @@ def test_theta1_matches_estimator_on_grid():
             rep = estimate_angular_value(sys, 1, "sup-limsup", 840, cfg)
             worst = max(worst, abs(rep.value - want))
     assert worst < 2e-3, "worst deviation %.3e" % worst
+
+
+def test_theta1_is_upper_semicontinuous_at_rationals():
+    # the rational orbit sup at phi = 2 pi p/q is at least the circle
+    # average that irrational neighbours converge to, at every p/q in [0, 1]
+    # with q <= 20 and every rho below
+    cells, worst = 0, math.inf
+    for q in range(1, 21):
+        for p in range(q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            for rho in (0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0):
+                phi = TWO_PI * p / q
+                rational = discrete2d_theta1(phi, rho, tag=RationalTag("rational", p / q, p, q))
+                irrational = discrete2d_theta1(phi, rho, tag=RationalTag("irrational", p / q))
+                worst = min(worst, rational - irrational)
+                cells += 1
+    assert cells == 774
+    assert worst >= -1e-12, "worst margin %.3e" % worst
 
 
 def test_build_kappa_grid_contents():
