@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocks import _MAX_BLOCK, _cut_blocks, _orthonormalize, _quiet, _unit_powers
+from .blocks import _MAX_BLOCK, _orthonormalize, _quiet, _segment_blocks, _unit_powers
 from .errors import SingularMatrix, StepUnstable
 from .grassmann import max_angle_between_bases
 from .linalg import rotation
@@ -83,29 +83,34 @@ def solution_operator(sys, n, m):
 def _propagator(sys, n):
     """sums(b0, times, m=1) -> the angle sums a_{m,j}(span b0) at each j of
     the sorted times in [1, n], over n steps on the shared block path, in
-    blocks of powers formed here for a constant system, of step-map products
-    formed per propagation otherwise.  Memory is bounded by the block size
-    and the number of times, not by n."""
+    blocks of powers formed here for a constant system, of segments of
+    step-map products formed per propagation otherwise.  Memory is bounded
+    by the block size and the number of times, not by n."""
     a = sys.constant_matrix
     powers = None if a is None else _unit_powers(a, n)
 
     def blocks():
-        # (unit-scaled products, the indices of the nodes they reach)
+        # (unit-scaled products of K blocks, the indices of the nodes they reach)
         if powers is not None:
             for k in range(0, n, len(powers)):
-                yield powers[: n - k], range(k + 1, n + 1)[: len(powers)]
+                yield powers[None, : n - k], range(k + 1, n + 1)[: len(powers)]
             return
         steps = (range(k0, min(k0 + _MAX_BLOCK, n)) for k0 in range(0, n, _MAX_BLOCK))
         chunks = ((np.array([sys.matrix(k) for k in ks]), range(ks.start + 1, ks.stop + 1)) for ks in steps)
-        yield from _cut_blocks(chunks)
+        yield from _segment_blocks(chunks)
 
     @_quiet
     def sums(b0, times, m=1):
         out = np.empty(len(times))
         total, ptr, q = 0.0, 0, b0
         for prods, ends in blocks():
+            # each of the K blocks starts from the end node of the one before
+            starts = [q]
+            for p in prods[:-1]:
+                starts.append(np.linalg.qr(p[-1] @ starts[-1])[0])
+            w = prods @ (np.stack(starts)[:, None] if len(starts) > 1 else q)
             try:
-                nodes = _orthonormalize(prods @ q)
+                nodes = _orthonormalize(w.reshape(-1, *q.shape))[: len(ends)]
             except StepUnstable as exc:
                 raise SingularMatrix("step matrix collapses the propagated subspace") from exc
             skip = min(max(m - ends[0], 0), len(nodes))  # nodes before m add nothing

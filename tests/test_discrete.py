@@ -251,6 +251,14 @@ _GAP = (
     haar_subspace(np.random.default_rng(2), 4, 2).basis,
     300,
 )
+# the same gap in a cycle: every segment of step maps fails the condition test
+_GAP_CYCLE = (
+    DiscreteSystem.from_sequence(
+        [_GAP[0].constant_matrix, random_orthogonal(np.random.default_rng(3), 4)], cycle=True
+    ),
+    _GAP[1],
+    300,
+)
 # the third step maps every plane of R^3 onto the line e1
 _COLLAPSE = (
     DiscreteSystem.from_sequence([np.eye(3) + 0.1, np.eye(3), np.diag([1.0, 0.0, 0.0])], cycle=True),
@@ -262,6 +270,7 @@ _COLLAPSE = (
 @settings(max_examples=60)
 @given(_discrete_orbits())
 @example(_GAP)
+@example(_GAP_CYCLE)
 @example(_COLLAPSE)
 def test_block_path_matches_stepwise(orbit):
     # every running sum a_{1,j}, and a window sum, within 1e-10 relative to
@@ -289,6 +298,21 @@ def test_constant_orthogonal_map_is_one_block(monkeypatch):
     v = haar_subspace(np.random.default_rng(3), 5, 2)
     angle_sum(DiscreteSystem.constant(q), v, 1, _MAX_BLOCK)
     assert calls == [_MAX_BLOCK]
+
+
+def test_well_conditioned_cycle_is_one_batch_per_chunk(monkeypatch):
+    # segments that pass the condition test are propagated a chunk at a
+    # time, so the cost of a step does not depend on where cond would cut
+    calls = []
+    orthonormalize = discrete._orthonormalize
+    monkeypatch.setattr(discrete, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
+    rng = np.random.default_rng(4)
+    mats = [random_orthogonal(rng, 3) @ np.diag(rng.uniform(0.5, 2.0, 3)) for _ in range(8)]
+    v = haar_subspace(rng, 3, 2)
+    sys, n = DiscreteSystem.from_sequence(mats, cycle=True), 2 * _MAX_BLOCK - 12
+    total = angle_sum(sys, v, 1, n)
+    assert calls == [_MAX_BLOCK, _MAX_BLOCK]  # identity maps pad the last segment
+    assert total == pytest.approx(_stepwise_sums(sys, v.basis, n)[-1], rel=1e-12)
 
 
 def test_memory_is_bounded_by_the_block_not_the_horizon():
