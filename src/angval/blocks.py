@@ -3,12 +3,13 @@
 An orbit of subspaces is carried in blocks: B nodes are reached from one
 orthonormal basis by the products M_j ... M_1 of the step maps and
 orthonormalized together.  That is as accurate as stepping while the
-products stay well conditioned, so B is the longest leading run of
-products, up to _MAX_BLOCK, whose condition number is at most _BLOCK_COND.
-A constant system has one step matrix M, whose powers are formed once.
-A discrete time-varying system is carried in segments of _SEGMENT maps
-instead, formed for a whole chunk at once, so that the cost of a step does
-not depend on where the condition numbers cut the blocks.
+products stay well conditioned (condition number at most _BLOCK_COND).
+A constant system's step matrix M has its powers formed once, up to
+_MAX_BLOCK of them.  A time-varying system is carried in segments of
+_SEGMENT maps, formed for a whole chunk of maps at once and halved where
+they fail the test, so the cost of a step does not depend on where the
+condition numbers would cut a longer block.  _carry turns either stream of
+blocks into orthonormal nodes.
 """
 
 from __future__ import annotations
@@ -37,24 +38,19 @@ def _conditioned(prods):
     return cond <= _BLOCK_COND  # 0/0 is nan: a zero product fails too
 
 
-def _well_conditioned(prods):
-    """Length, at least 1, of the longest leading run of a (B, d, d) stack
-    whose condition numbers are at most _BLOCK_COND."""
-    ok = _conditioned(prods)
-    return len(prods) if ok.all() else max(int(np.argmin(ok)), 1)
-
-
 @_quiet
 def _unit_powers(m, nsteps):
     """Stack (B, d, d) of the powers of one step matrix M, each scaled to
     unit norm, which keeps the spans they carry and keeps long blocks of
-    growing or decaying steps from overflowing or underflowing."""
+    growing or decaying steps from overflowing or underflowing.  B, at least
+    1, is the longest leading run that passes the condition test."""
     powers = m[None]
     cap = min(_MAX_BLOCK, nsteps)
     while len(powers) < cap:
         powers = np.concatenate([powers, powers @ powers[-1]])
         powers /= np.linalg.norm(powers, axis=(1, 2), keepdims=True)
-    return powers[: _well_conditioned(powers[:cap])]
+    ok = _conditioned(powers[:cap])
+    return powers[: cap if ok.all() else max(int(np.argmin(ok)), 1)]
 
 
 def _prefix_products(maps):
@@ -71,43 +67,50 @@ def _prefix_products(maps):
     return prods
 
 
-def _cut_blocks(chunks):
-    """Yield (unit-scaled products, ends) for the blocks of a stream of
-    chunks (maps, ends), where ends is aligned with the maps of its chunk.
-    Blocks never span two chunks; after a block is cut short, the next forms
-    its products only up to that length, and each block that is not cut
-    doubles the length tried."""
-    tried = _MAX_BLOCK
-    for maps, ends in chunks:
-        j = 0
-        while j < len(maps):
-            prods = _prefix_products(maps[j : j + tried])
-            b = _well_conditioned(prods)
-            yield prods[:b], ends[j : j + b]
-            tried = b if b < len(prods) else min(2 * tried, _MAX_BLOCK)
-            j += b
+def _power_blocks(powers, n):
+    """Blocks (products, node indices) of n steps of one step matrix, from
+    the stack of its unit-scaled powers."""
+    for k in range(0, n, len(powers)):
+        yield powers[None, : n - k], range(k + 1, n + 1)[: len(powers)]
 
 
-def _segment_blocks(chunks):
-    """Yield (products, ends) for the blocks of a stream of chunks (maps,
-    ends), with the unit-scaled products of K blocks of B nodes each in a
-    (K, B, d, d) stack and ends aligned with their nodes.  Each chunk is cut
-    into segments of _SEGMENT maps (identity maps pad the last one; the
-    nodes past ends are padding), whose products come from one scan and one
-    condition test; a segment that fails the test is cut by _cut_blocks."""
+def _segment_blocks(chunks, size=_SEGMENT):
+    """Yield (products, ends) for a stream of chunks (maps, ends): the
+    unit-scaled products of K segments of `size` maps in a (K, size, d, d)
+    stack, from one scan and one condition test per chunk, with ends aligned
+    with their nodes (identity maps pad the last segment; the nodes past
+    ends are padding).  Each run of segments that fail the test is halved by
+    the same rule; a single map is always accepted, as it is one step."""
     for maps, ends in chunks:
         n, d = maps.shape[:2]
-        k = -(-n // _SEGMENT)
-        pad = np.broadcast_to(np.eye(d), (k * _SEGMENT - n, d, d))
-        prods = _prefix_products(np.concatenate([maps, pad]).reshape(k, _SEGMENT, d, d))
-        i = 0
-        for j in [*np.flatnonzero(~_conditioned(prods).all(axis=1)), k]:
-            if j > i:
-                yield prods[i:j], ends[i * _SEGMENT : j * _SEGMENT]
-            if j < k:
-                seg = slice(j * _SEGMENT, (j + 1) * _SEGMENT)
-                yield from ((p[None], e) for p, e in _cut_blocks([(maps[seg], ends[seg])]))
-            i = j + 1
+        k = -(-n // size)
+        pad = np.broadcast_to(np.eye(d), (k * size - n, d, d))
+        prods = _prefix_products(np.concatenate([maps, pad]).reshape(k, size, d, d))
+        ok = _conditioned(prods).all(axis=1) if size > 1 else np.ones(k, dtype=bool)
+        cuts = [*np.flatnonzero(ok[1:] != ok[:-1]) + 1]
+        for i, j in zip([0, *cuts], [*cuts, k]):
+            run = slice(i * size, j * size)
+            if ok[i]:
+                yield prods[i:j], ends[run]
+            else:
+                yield from _segment_blocks([(maps[run], ends[run])], size // 2)
+
+
+def _carry(b0, blocks):
+    """Yield (nodes, ends) for a stream of blocks (products, ends): the
+    orthonormal bases the products reach from b0, padding dropped.  Each of
+    the K segments of a block starts from the end node of the one before."""
+    q = b0
+    for prods, ends in blocks:
+        starts = [q]
+        for p in prods[:-1]:
+            start, r = np.linalg.qr(p[-1] @ starts[-1])
+            starts.append(start * np.sign(r.diagonal()))
+        # a lone segment needs no stack of starts
+        w = prods[0] @ q if len(prods) == 1 else (prods @ np.stack(starts)[:, None]).reshape(-1, *q.shape)
+        nodes = _orthonormalize(w)[: len(ends)]
+        yield nodes, ends
+        q = nodes[-1]
 
 
 def _orthonormalize(w):

@@ -148,21 +148,24 @@ def load_config(args):
 
 
 def build_discrete_system(cfg):
+    if not isinstance(cfg, dict):
+        raise ValueError("system must be a JSON object, got %r" % (cfg,))
     kind = cfg.get("kind", "constant")
     if kind == "constant":
-        return DiscreteSystem.constant(np.asarray(cfg["matrix"], dtype=float))
+        return DiscreteSystem.constant(cfg["matrix"])
     if kind == "cycle":
-        mats = [np.asarray(m, dtype=float) for m in cfg["matrices"]]
-        return DiscreteSystem.from_sequence(mats, cycle=True)
+        return DiscreteSystem.from_sequence(cfg["matrices"], cycle=True)
     if kind == "planar_rotation":
         return DiscreteSystem.planar_rotation(float(cfg["rho"]), float(cfg["phi"]))
     raise ValueError("unknown discrete system kind %r" % kind)
 
 
 def build_continuous_system(cfg):
+    if not isinstance(cfg, dict):
+        raise ValueError("system must be a JSON object, got %r" % (cfg,))
     kind = cfg.get("kind", "constant")
     if kind == "constant":
-        return ContinuousSystem.from_constant(np.asarray(cfg["matrix"], dtype=float))
+        return ContinuousSystem.from_constant(cfg["matrix"])
     if kind == "model2d":
         return ContinuousSystem.model2d(float(cfg["rho"]), float(cfg["omega"]))
     raise ValueError("unknown continuous system kind %r" % kind)

@@ -10,8 +10,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocks import _MAX_BLOCK, _cut_blocks, _orthonormalize, _quiet, _unit_powers
+from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
 from .errors import StepUnstable
+from .linalg import square_matrix
 from .search import default_sample_times, run_search
 
 
@@ -31,12 +32,14 @@ class ContinuousSystem:
 
     @staticmethod
     def from_constant(a):
-        a = np.asarray(a, dtype=float)
+        a = square_matrix(a)
         return ContinuousSystem(generator=lambda t: a, dim=a.shape[0], constant=a)
 
     @staticmethod
     def model2d(rho, omega):
         """Elliptic rotation generator omega * D_rho J D_rho^{-1}."""
+        if not (np.isfinite(rho) and rho != 0.0):
+            raise ValueError("rho must be finite and nonzero, got %r" % (rho,))
         a = np.array([[0.0, -omega / rho], [rho * omega, 0.0]])
         return ContinuousSystem.from_constant(a)
 
@@ -66,9 +69,9 @@ def _step_powers(a, h, nsteps):
 
 
 def _varying_blocks(gen, h, nsteps, a0):
-    """Yield the blocks (unit-scaled products, A at their end nodes) of a
-    time-varying generator.  The RK4 step maps of up to _MAX_BLOCK steps at a
-    time come from one generator call at each of the times one-step RK4 uses."""
+    """Yield the segment blocks (unit-scaled products, A at their end nodes)
+    of a time-varying generator.  The RK4 step maps of up to _MAX_BLOCK steps
+    at a time come from one generator call at each time one-step RK4 uses."""
     eye = np.eye(len(a0))
 
     def chunks(a0):
@@ -85,7 +88,7 @@ def _varying_blocks(gen, h, nsteps, a0):
             yield eye + (h / 6.0) * (nodes[:-1] + 2.0 * (k2 + k3) + k4), nodes[1:]
             a0 = nodes[-1]
 
-    return _cut_blocks(chunks(a0))
+    return _segment_blocks(chunks(a0))
 
 
 def _speeds(q, aq):
@@ -108,24 +111,6 @@ def _speeds(q, aq):
     return speeds
 
 
-@_quiet
-def _propagate(a0, blocks, b0, nsteps, store_bases):
-    d, s = b0.shape
-    integrand = np.empty(nsteps + 1)
-    bases = np.empty((nsteps + 1, d, s)) if store_bases else None
-    integrand[0] = _speeds(b0, a0 @ b0)
-    if store_bases:
-        bases[0] = b0
-    q, k = b0[None], 0
-    for prods, a in blocks:
-        q = _orthonormalize(prods @ q[-1])
-        integrand[k + 1 : k + 1 + len(q)] = _speeds(q, a @ q)
-        if store_bases:
-            bases[k + 1 : k + 1 + len(q)] = q
-        k += len(q)
-    return bases, integrand
-
-
 def _propagator(sys, h, nsteps):
     """propagate(b0, store_bases) -> (bases or None, integrand) over nsteps
     fixed RK4 steps, in blocks of step powers formed here for a constant
@@ -133,12 +118,19 @@ def _propagator(sys, h, nsteps):
     a = sys.constant
     powers = None if a is None else _step_powers(a, h, nsteps)
 
+    @_quiet
     def propagate(b0, store_bases):
         if a is None:
             a0 = sys.matrix(0.0)
-            return _propagate(a0, _varying_blocks(sys.matrix, h, nsteps, a0), b0, nsteps, store_bases)
-        blocks = ((powers[: nsteps - k], a) for k in range(0, nsteps, len(powers)))
-        return _propagate(a, blocks, b0, nsteps, store_bases)
+            blocks, a_at = _varying_blocks(sys.matrix, h, nsteps, a0), lambda ends: ends
+        else:
+            a0, blocks, a_at = a, _power_blocks(powers, nsteps), lambda ends: a
+        speeds, bases = [np.atleast_1d(_speeds(b0, a0 @ b0))], [b0[None]]
+        for q, ends in _carry(b0, blocks):
+            speeds.append(_speeds(q, a_at(ends) @ q))
+            if store_bases:
+                bases.append(q)
+        return (np.concatenate(bases) if store_bases else None), np.concatenate(speeds)
 
     return propagate
 

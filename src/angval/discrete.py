@@ -10,10 +10,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocks import _MAX_BLOCK, _orthonormalize, _quiet, _segment_blocks, _unit_powers
+from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
 from .errors import SingularMatrix, StepUnstable
 from .grassmann import max_angle_between_bases
-from .linalg import rotation
+from .linalg import rotation, square_matrix
 from .search import default_sample_times, run_search
 
 
@@ -32,20 +32,17 @@ class DiscreteSystem:
 
     @staticmethod
     def constant(a):
-        a = np.asarray(a, dtype=float)
+        a = square_matrix(a)
         return DiscreteSystem(generator=lambda n: a, dim=a.shape[0], constant_matrix=a)
 
     @staticmethod
     def from_sequence(mats, cycle=False):
-        mats = [np.asarray(m, dtype=float) for m in mats]
-        k = len(mats)
-        if k == 0:
-            raise ValueError("a matrix sequence needs at least one matrix")
+        mats = [square_matrix(m) for m in mats]
+        if len({m.shape for m in mats}) != 1:
+            raise ValueError("a matrix sequence needs at least one matrix, all of one shape")
 
         def gen(n):
-            if cycle:
-                return mats[n % k]
-            return mats[n]
+            return mats[n % len(mats)] if cycle else mats[n]
 
         return DiscreteSystem(generator=gen, dim=mats[0].shape[0])
 
@@ -82,44 +79,34 @@ def solution_operator(sys, n, m):
 
 def _propagator(sys, n):
     """sums(b0, times, m=1) -> the angle sums a_{m,j}(span b0) at each j of
-    the sorted times in [1, n], over n steps on the shared block path, in
-    blocks of powers formed here for a constant system, of segments of
-    step-map products formed per propagation otherwise.  Memory is bounded
-    by the block size and the number of times, not by n."""
+    the sorted times in [1, n], over n steps on the shared block path (the
+    powers of a constant map are formed here, once).  Memory is bounded by
+    the block size and the number of times, not by n."""
     a = sys.constant_matrix
     powers = None if a is None else _unit_powers(a, n)
 
     def blocks():
-        # (unit-scaled products of K blocks, the indices of the nodes they reach)
         if powers is not None:
-            for k in range(0, n, len(powers)):
-                yield powers[None, : n - k], range(k + 1, n + 1)[: len(powers)]
-            return
+            return _power_blocks(powers, n)
         steps = (range(k0, min(k0 + _MAX_BLOCK, n)) for k0 in range(0, n, _MAX_BLOCK))
         chunks = ((np.array([sys.matrix(k) for k in ks]), range(ks.start + 1, ks.stop + 1)) for ks in steps)
-        yield from _segment_blocks(chunks)
+        return _segment_blocks(chunks)
 
     @_quiet
     def sums(b0, times, m=1):
         out = np.empty(len(times))
         total, ptr, q = 0.0, 0, b0
-        for prods, ends in blocks():
-            # each of the K blocks starts from the end node of the one before
-            starts = [q]
-            for p in prods[:-1]:
-                starts.append(np.linalg.qr(p[-1] @ starts[-1])[0])
-            w = prods @ (np.stack(starts)[:, None] if len(starts) > 1 else q)
-            try:
-                nodes = _orthonormalize(w.reshape(-1, *q.shape))[: len(ends)]
-            except StepUnstable as exc:
-                raise SingularMatrix("step matrix collapses the propagated subspace") from exc
-            skip = min(max(m - ends[0], 0), len(nodes))  # nodes before m add nothing
-            prev = [q, *nodes[:-1]]
-            angles = [0.0] * skip + [max_angle_between_bases(u, w) for u, w in zip(prev[skip:], nodes[skip:])]
-            running = np.cumsum([total, *angles])
-            hi = np.searchsorted(times, ends[-1], side="right")
-            out[ptr:hi] = running[times[ptr:hi] - ends[0] + 1]
-            total, ptr, q = running[-1], hi, nodes[-1]
+        try:
+            for nodes, ends in _carry(b0, blocks()):
+                skip = min(max(m - ends[0], 0), len(nodes))  # nodes before m add nothing
+                prev = [q, *nodes[:-1]]
+                angles = [0.0] * skip + [max_angle_between_bases(u, w) for u, w in zip(prev[skip:], nodes[skip:])]
+                running = np.cumsum([total, *angles])
+                hi = np.searchsorted(times, ends[-1], side="right")
+                out[ptr:hi] = running[times[ptr:hi] - ends[0] + 1]
+                total, ptr, q = running[-1], hi, nodes[-1]
+        except StepUnstable as exc:
+            raise SingularMatrix("step matrix collapses the propagated subspace") from exc
         return out
 
     return sums
@@ -145,10 +132,13 @@ def estimate_angular_value(sys, s, variant, horizon, config):
     horizon * tail_fraction on) provides the limsup/liminf proxies.  The
     returned value is a lower bound with respect to the subspace search.
     """
+    if not (horizon >= 1 and float(horizon).is_integer()):
+        raise ValueError("horizon must be a positive integer, got %r" % (horizon,))
     if config.sample_times is not None:
-        times = np.asarray(sorted(int(t) for t in config.sample_times))
-        if times[0] < 1 or times[-1] > horizon:
-            raise ValueError("sample times must lie in [1, horizon]")
+        times = np.sort(np.asarray(config.sample_times, dtype=float))
+        if np.any(times != np.round(times)) or times[0] < 1 or times[-1] > horizon:
+            raise ValueError("sample times must be integers in [1, horizon], got %r" % (config.sample_times,))
+        times = times.astype(int)
     else:
         times = default_sample_times(int(horizon), config.sample_count, discrete=True)
 

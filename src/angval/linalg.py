@@ -28,6 +28,14 @@ def as_matrix(m):
     return a
 
 
+def square_matrix(m):
+    """Coerce to a square 2-d float64 array, such as a system matrix."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
+    return a
+
+
 def qr_thin(m, tol=None):
     """Thin QR factorization with a nonnegative diagonal of R.
 

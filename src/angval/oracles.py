@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, RankDeficient
 
 
 def _unit_grid_2d(basis, m, offset):
@@ -129,7 +129,9 @@ def birkhoff_average(system, v0, horizon, step=None):
     from scipy.linalg import expm
 
     basis = np.asarray(v0.basis if hasattr(v0, "basis") else v0, dtype=float)
-    q, _ = np.linalg.qr(basis)
+    q, r = np.linalg.qr(basis)
+    if np.linalg.matrix_rank(r) < basis.shape[1]:
+        raise RankDeficient("the starting basis is rank deficient")
     total = 0.0
     if isinstance(system, DiscreteSystem):
         n = int(horizon)

@@ -35,8 +35,11 @@ class SubspaceSearchConfig:
     cost_cap: float = 5e7
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1, got %r" % (self.sample_count,))
+        for name, low in (("candidates", 1), ("refine_rounds", 0), ("sample_count", 1)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be at least %d, got %r" % (name, low, getattr(self, name)))
+        if not self.refine_scale > 0.0:
+            raise ValueError("refine_scale must be positive, got %r" % (self.refine_scale,))
         if self.sample_times is not None and len(self.sample_times) == 0:
             raise ValueError("sample_times must not be empty")
         if not 0.0 <= self.tail_fraction <= 1.0:
@@ -112,7 +115,7 @@ def run_search(evaluate, d, s, variant, horizon, times, config, steps_per_eval):
     rng = np.random.default_rng(config.seed)
     pool_bases = []
     pool_vals = []
-    for _ in range(max(config.candidates, 1)):
+    for _ in range(config.candidates):
         b = haar_basis(rng, d, s)
         pool_bases.append(b)
         pool_vals.append(np.asarray(evaluate(b)))

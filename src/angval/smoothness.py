@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .continuous import _speeds
 from .errors import RankDeficient, SingularMatrix
 from .grassmann import max_angle, subspace_from_spanning
 from .linalg import as_matrix, rotation, singular_values, spectral_norm, svd
@@ -64,10 +65,7 @@ def angle_derivative_flow(a, v):
     v is a Subspace; a is the generator evaluated at the current time.
     Unchanged under trace shifts a -> a + lam * I.
     """
-    b = v.basis
-    m = as_matrix(a) @ b
-    m = m - b @ (b.T @ m)
-    return spectral_norm(m)
+    return float(_speeds(v.basis, as_matrix(a) @ v.basis))
 
 
 def planar_angular_speed(a, vec):

@@ -567,3 +567,33 @@ def test_degenerate_estimator_inputs_are_exit_2(tmp_path, capsys, monkeypatch, c
     assert main([command, "--config", path]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and "value =" not in captured.out
+
+
+_CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3).tolist()]}, "horizon": 10}
+
+
+@pytest.mark.parametrize(
+    "command,cfg,code,message",
+    [
+        ("discrete", dict(_PLANAR, horizon=20, search={"sample_times": [10.7, 20]}), 2, "sample times must be integers in"),
+        ("discrete", dict(_PLANAR, horizon=-3), 2, "horizon must be a positive integer"),
+        ("discrete", dict(_PLANAR, horizon=0), 2, "horizon must be a positive integer"),
+        ("discrete", dict(_PLANAR, search={"candidates": 0}), 2, "candidates must be at least 1"),
+        ("discrete", dict(_PLANAR, search={"candidates": -2}), 2, "candidates must be at least 1"),
+        ("discrete", dict(_PLANAR, search={"refine_rounds": -1}), 2, "refine_rounds must be at least 0"),
+        ("discrete", dict(_PLANAR, search={"refine_scale": -1}), 2, "refine_scale must be positive"),
+        ("discrete", dict(_IDENTITY, system={"kind": "constant", "matrix": 3}), 2, "expected a square matrix"),
+        ("discrete", dict(_IDENTITY, system=[1, 2]), 2, "system must be a JSON object"),
+        ("discrete", _CYCLE, 2, "all of one shape"),
+        ("continuous", dict(_MODEL2D, system=dict(_MODEL2D["system"], rho=0)), 2, "rho must be"),
+        ("continuous", dict(_MODEL2D, system={"kind": "constant", "matrix": [[1.0, 2.0]]}), 2, "expected a square"),
+        ("continuous", dict(_MODEL2D, system=[1, 2]), 2, "system must be a JSON object"),
+        ("oracle", dict(_BIRKHOFF, v0=[[0.0], [0.0]]), 3, "rank deficient"),
+        ("oracle", dict(_BIRKHOFF, v0=[[1.0, 2.0], [2.0, 4.0]]), 3, "rank deficient"),
+    ],
+)
+def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, command, cfg, code, message):
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main([command, "--config", path]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and "value =" not in captured.out

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
+from angval.blocks import _MAX_BLOCK, _SEGMENT, _orthonormalize
 from angval.continuous import (
-    _MAX_BLOCK,
     ContinuousSystem,
-    _orthonormalize,
     _speeds,
     _step_powers,
     _varying_blocks,
@@ -303,19 +302,21 @@ def test_block_length_shrinks_with_spectral_gap():
     assert 1 < len(_step_powers(block_diag(rot, fast), 0.02, 10**6)) < 20
 
 
-def test_varying_blocks_stay_within_chunks():
-    # blocks never span two chunks of _MAX_BLOCK step maps, and a stiff
-    # time-varying generator is cut below 20 steps as its frozen twin is
+def test_varying_segments_halve_within_chunks():
+    # each chunk of _MAX_BLOCK step maps is cut into segments of _SEGMENT,
+    # identity-padded at the horizon; a stiff generator's segments fail the
+    # condition test and each run of them is halved, never across chunks
+    assert (_MAX_BLOCK, _SEGMENT) == (256, 16)
     rot = ComplexBlock(0.0, 1.0, 0.5).matrix()
 
-    def lengths(a):
+    def layout(a):
         blocks = _varying_blocks(lambda t: a + 0.3 * math.sin(t) * np.eye(4), 0.02, 600, a)
-        return [len(prods) for prods, _ in blocks]
+        return [(*prods.shape[:2], len(ends)) for prods, ends in blocks]
 
-    assert lengths(block_diag(rot, rot)) == [_MAX_BLOCK, _MAX_BLOCK, 600 - 2 * _MAX_BLOCK]
-    stiff = lengths(block_diag(rot, ComplexBlock(-50.0, 1.0, 1.0).matrix()))
-    assert sum(stiff) == 600
-    assert max(stiff) < 20
+    assert layout(block_diag(rot, rot)) == [(16, 16, 256), (16, 16, 256), (6, 16, 88)]
+    # the frozen twin's blocks are 9 steps long; the last 8 maps pass padded
+    stiff = block_diag(rot, ComplexBlock(-50.0, 1.0, 1.0).matrix())
+    assert layout(stiff) == [(32, 8, 256), (32, 8, 256), (10, 8, 80), (1, 16, 8)]
 
 
 @pytest.mark.parametrize("s", [1, 2])

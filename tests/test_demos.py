@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the package source."""
+"""Every script under demos/ runs to completion against the package source,
+under the suite's warning policy: a RuntimeWarning is an error."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ def test_demos_exit_0(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for demo in demos:
         proc = subprocess.run(
-            [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, "%s failed:\n%s" % (demo.name, proc.stderr)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import haar_subspace, random_orthogonal
 
-from angval import discrete
-from angval.blocks import _MAX_BLOCK
+from angval import blocks
+from angval.blocks import _MAX_BLOCK, _segment_blocks
 from angval.discrete import (
     DiscreteSystem,
     _propagator,
@@ -292,8 +292,8 @@ def test_block_path_matches_stepwise(orbit):
 
 def test_constant_orthogonal_map_is_one_block(monkeypatch):
     calls = []
-    orthonormalize = discrete._orthonormalize
-    monkeypatch.setattr(discrete, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
+    orthonormalize = blocks._orthonormalize
+    monkeypatch.setattr(blocks, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
     q = random_orthogonal(np.random.default_rng(2), 5)
     v = haar_subspace(np.random.default_rng(3), 5, 2)
     angle_sum(DiscreteSystem.constant(q), v, 1, _MAX_BLOCK)
@@ -304,8 +304,8 @@ def test_well_conditioned_cycle_is_one_batch_per_chunk(monkeypatch):
     # segments that pass the condition test are propagated a chunk at a
     # time, so the cost of a step does not depend on where cond would cut
     calls = []
-    orthonormalize = discrete._orthonormalize
-    monkeypatch.setattr(discrete, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
+    orthonormalize = blocks._orthonormalize
+    monkeypatch.setattr(blocks, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
     rng = np.random.default_rng(4)
     mats = [random_orthogonal(rng, 3) @ np.diag(rng.uniform(0.5, 2.0, 3)) for _ in range(8)]
     v = haar_subspace(rng, 3, 2)
@@ -313,6 +313,22 @@ def test_well_conditioned_cycle_is_one_batch_per_chunk(monkeypatch):
     total = angle_sum(sys, v, 1, n)
     assert calls == [_MAX_BLOCK, _MAX_BLOCK]  # identity maps pad the last segment
     assert total == pytest.approx(_stepwise_sums(sys, v.basis, n)[-1], rel=1e-12)
+
+
+def test_failing_segments_halve_down_to_single_maps():
+    # two maps of the gap cycle pass the condition test (cond 1e3) and three
+    # do not, so its segments are halved down to 2 maps; with a column scaled
+    # by 1e-5 every map fails alone and is accepted as one step.  Either way
+    # a chunk is one block, and the sums match the per-step loop
+    sys, b0, n = _GAP_CYCLE
+    steep = DiscreteSystem.from_sequence([sys.matrix(k) @ np.diag([1.0, 1e-5, 1.0, 1.0]) for k in (0, 1)], cycle=True)
+    for cycle, size in ((sys, 2), (steep, 1)):
+        maps = np.array([cycle.matrix(k) for k in range(_MAX_BLOCK)])
+        layout = [(*p.shape[:2], len(e)) for p, e in _segment_blocks([(maps, range(1, _MAX_BLOCK + 1))])]
+        assert layout == [(_MAX_BLOCK // size, size, _MAX_BLOCK)]
+        got = _propagator(cycle, n)(b0, np.arange(1, n + 1))
+        want = _stepwise_sums(cycle, b0, n)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 
 
 def test_memory_is_bounded_by_the_block_not_the_horizon():
