@@ -1,11 +1,12 @@
 """Closed-form angular values for block-diagonal constant-coefficient systems:
 block column echelon structure, limiting subspaces, admissible index sets,
-torus quadrature of the max-of-ellipse-speeds integrand (one sorted-CDF
-midpoint rule for every index set), and the resonant one-parameter family
-for two 2x2 blocks."""
+the torus mean of the max of ellipse speeds (Gauss-Legendre on the 1-D
+integral of their closed-form distributions, for every index set), and the
+resonant one-parameter family for two 2x2 blocks."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -269,8 +270,8 @@ def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
     return GateVerdict(independent=not witnesses, witnesses=tuple(witnesses))
 
 
-# Upper limits on grid sizes, 90x to 500x the defaults: a torus axis table,
-# the resonant outer grid, and the resonant table of q rows by tau_panels
+# Upper limits on the resonant grid sizes, 90x to 500x the defaults: the
+# inner integral, the outer grid, and the table of q rows by tau_panels
 MAX_PANELS = 2**20
 MAX_T_POINTS = 2**16
 MAX_RESONANT_TABLE = 2**23
@@ -278,23 +279,17 @@ MAX_RESONANT_TABLE = 2**23
 
 @dataclass(frozen=True)
 class QuadConfig:
-    panels: int = 2048  # midpoints per torus axis, any |J| >= 2
     tau_panels: int = 2880  # resonant inner integral
     t_points: int = 720  # resonant outer grid on [0, 2pi)
 
     def __post_init__(self):
-        sizes = (self.panels, self.tau_panels, self.t_points)
+        sizes = (self.tau_panels, self.t_points)
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
             raise ValueError("quad sizes must be integers, got %r" % (sizes,))
-        # the Richardson estimates halve panels and tau_panels
-        if not (
-            2 <= self.panels <= MAX_PANELS
-            and 2 <= self.tau_panels <= MAX_PANELS
-            and 1 <= self.t_points <= MAX_T_POINTS
-        ):
+        # the Richardson estimate halves tau_panels
+        if not (2 <= self.tau_panels <= MAX_PANELS and 1 <= self.t_points <= MAX_T_POINTS):
             raise ValueError(
-                "quad needs 2 <= panels, tau_panels <= %d and 1 <= t_points <= %d"
-                % (MAX_PANELS, MAX_T_POINTS)
+                "quad needs 2 <= tau_panels <= %d and 1 <= t_points <= %d" % (MAX_PANELS, MAX_T_POINTS)
             )
 
 
@@ -322,24 +317,49 @@ class ResonantValue:
     l_values: np.ndarray
 
 
-def _max_mean(params, n):
-    # mean of max_j E_j over the midpoint tensor grid on [0, pi]^|J|, exactly:
-    # with x_0 < x_1 < ... the distinct pooled table values and F_j the
-    # empirical CDF of table j, the mean is x_0 + sum_k (1 - prod_j F_j(x_k))
-    # (x_{k+1} - x_k), at O(|J| n log n) cost instead of O(n^|J|)
-    mid = (np.arange(n) + 0.5) * (math.pi / n)
-    tabs = [np.sort(_espeed(mid, w, r)) for (w, r) in params]
-    x = np.unique(np.concatenate(tabs))
+@functools.lru_cache(maxsize=None)
+def _gauss_rules():
+    # 64- and 32-node Gauss-Legendre in phi on [0, pi] for x = a + (b - a)
+    # sin^2(phi/2), dx = (b - a) sin(phi)/2 dphi: the offsets sin^2(phi/2) of
+    # all 96 nodes, and one weight row per rule, zero off its own nodes
+    from numpy.polynomial.legendre import leggauss  # a few ms: on first use only
+
+    (t64, w64), (t32, w32) = leggauss(64), leggauss(32)
+    phi = 0.5 * math.pi * (np.concatenate([t64, t32]) + 1.0)
+    weights = np.array([np.r_[w64, 0.0 * w32], np.r_[0.0 * w64, w32]]) * (0.25 * math.pi * np.sin(phi))
+    return np.sin(0.5 * phi) ** 2, weights
+
+
+def _max_mean(params):
+    # the integral and error of integral_for_set; the integrand is analytic
+    # between band ends, with square-root ends that the sin^2 substitution smooths
+    lo = max(r * w for w, r in params)
+    hi = max(w / r for w, r in params)
+    cuts = np.unique([lo, hi] + [x for w, r in params for x in (r * w, w / r) if lo < x < hi])
+    offsets, weights = _gauss_rules()
+    width = np.diff(cuts)[:, None]
+    x = cuts[:-1, None] + width * offsets
     cdf = np.ones_like(x)
-    for t in tabs:
-        cdf *= np.searchsorted(t, x, "right") / n
-    return float(x[0] + np.dot(1.0 - cdf[:-1], np.diff(x)))
+    for w, r in params:
+        if r == 1.0:
+            cdf *= x >= w
+        else:
+            u = (1.0 - r * w / x) / (1.0 - r * r)
+            cdf *= (2.0 / math.pi) * np.arcsin(np.sqrt(np.clip(u, 0.0, 1.0)))
+    v64, v32 = lo + weights @ np.sum(width * (1.0 - cdf), axis=0)
+    return float(v64), float(abs(v64 - v32) + 64.0 * np.finfo(float).eps * hi)
 
 
-def integral_for_set(spec, index_set, quad=None):
-    """pi^{-|J|} integral over [0, pi]^{|J|} of max_{j in J} E_j, with an
-    error estimate from one Richardson halving of the midpoint grid."""
-    quad = quad or QuadConfig()
+def integral_for_set(spec, index_set):
+    """pi^{-|J|} integral over [0, pi]^{|J|} of max_{j in J} E_j.
+
+    For |J| >= 2 this is lo + int_lo^hi (1 - prod_j F_j(x)) dx with lo =
+    max rho_j omega_j, hi = max omega_j/rho_j and the speed CDFs F_j(x) =
+    (2/pi) asin sqrt((1 - rho_j omega_j/x) / (1 - rho_j^2)) (a unit step at
+    omega_j when rho_j = 1), by 64-node Gauss-Legendre between band ends.
+    `error` is |G64 - G32| plus a rounding floor of 64 eps hi.  |J| = 0 and
+    |J| = 1 are exact (0 and omega) with error 0.
+    """
     j = tuple(index_set)
     if len(j) == 0:
         return SetValue((), 0.0, 0.0)
@@ -352,15 +372,12 @@ def integral_for_set(spec, index_set, quad=None):
     if len(j) == 1:
         # single-frequency mean is omega exactly
         return SetValue(j, params[0][0], 0.0)
-    v = _max_mean(params, quad.panels)
-    v_half = _max_mean(params, quad.panels // 2)
-    return SetValue(j, v, abs(v - v_half) / 3.0)
+    return SetValue(j, *_max_mean(params))
 
 
-def angular_value_irrational(s, spec, quad=None, override_gate=False):
+def angular_value_irrational(s, spec, override_gate=False):
     """Outer angular value of the flow for gated-independent frequencies:
-    max over maximal admissible index sets of the torus-quadrature integral."""
-    quad = quad or QuadConfig()
+    max over maximal admissible index sets of the torus mean."""
     sets = admissible_sets(s, spec, maximal_only=True)
     if not override_gate:
         witnesses = []
@@ -372,7 +389,7 @@ def angular_value_irrational(s, spec, quad=None, override_gate=False):
                 witnesses.append((j[a], j[b], p, q))
         if witnesses:
             raise RationalityDetected(sorted(set(witnesses)))
-    per_set = tuple(integral_for_set(spec, j, quad) for j in sets)
+    per_set = tuple(integral_for_set(spec, j) for j in sets)
     best = max(per_set, key=lambda sv: sv.value)
     return IrrationalValue(
         value=best.value,
@@ -459,13 +476,13 @@ def angular_value_resonant_4d(omega1, p, q, rho1, rho2, quad=None):
     )
 
 
-def symmetry_check(s, spec, quad=None):
-    """Verify J(s) = J(d-s) and that the two quadrature values agree."""
+def symmetry_check(s, spec):
+    """Verify J(s) = J(d-s) and that the two torus values agree."""
     d = spec.dim
     if not 1 <= s <= d - 1:
         raise ValueError("need 1 <= s <= dim - 1")
     if admissible_sets(s, spec) != admissible_sets(d - s, spec):
         return False
-    a = angular_value_irrational(s, spec, quad, override_gate=True)
-    b = angular_value_irrational(d - s, spec, quad, override_gate=True)
+    a = angular_value_irrational(s, spec, override_gate=True)
+    b = angular_value_irrational(d - s, spec, override_gate=True)
     return abs(a.value - b.value) <= a.error + b.error + 1e-9

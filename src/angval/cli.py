@@ -209,7 +209,7 @@ def _integral(key, x):
 def build_quad_config(cfg):
     q = dict(cfg.get("quad", {}))
     kwargs = {}
-    for key in ("panels", "tau_panels", "t_points"):
+    for key in ("tau_panels", "t_points"):
         if key in q:
             kwargs[key] = _integral(key, q.pop(key))
     if q:
@@ -339,7 +339,7 @@ def cmd_autonomous(args):
     else:
         spec = build_schur_spec(cfg["blocks"])
         res = angular_value_irrational(
-            _integral("s", cfg["s"]), spec, quad=quad, override_gate=bool(cfg.get("override_gate", False))
+            _integral("s", cfg["s"]), spec, override_gate=bool(cfg.get("override_gate", False))
         )
         rows = [
             ("+".join(str(j) for j in sv.index_set) or "empty", float(sv.value), float(sv.error))

@@ -13,7 +13,7 @@ import numpy as np
 from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
 from .errors import StepUnstable
 from .linalg import square_matrix
-from .search import default_sample_times, run_search
+from .search import check_budget, default_sample_times, run_search
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,8 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     the tail window provides the limsup/liminf proxies.
     """
     nsteps, h = _resolve_steps(horizon, step)
+    # before the sample indices: a tiny step overflows their integer cast
+    check_budget(sys.dim, s, config, nsteps)
     if config.sample_times is not None:
         raw = np.asarray(config.sample_times, dtype=float)
         if raw.min() <= 0.0 or raw.max() > horizon:
@@ -211,7 +213,6 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
         horizon=float(horizon),
         times=times,
         config=config,
-        steps_per_eval=nsteps,
     )
 
 

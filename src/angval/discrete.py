@@ -14,7 +14,7 @@ from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, 
 from .errors import SingularMatrix, StepUnstable
 from .grassmann import max_angle_between_bases
 from .linalg import rotation, square_matrix
-from .search import default_sample_times, run_search
+from .search import check_budget, default_sample_times, run_search
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,7 @@ def estimate_angular_value(sys, s, variant, horizon, config):
         times = times.astype(int)
     else:
         times = default_sample_times(int(horizon), config.sample_count, discrete=True)
+    check_budget(sys.dim, s, config, int(times[-1]))
 
     sums = _propagator(sys, int(times[-1]))
 
@@ -155,7 +156,6 @@ def estimate_angular_value(sys, s, variant, horizon, config):
         horizon=int(horizon),
         times=times,
         config=config,
-        steps_per_eval=int(times[-1]),
     )
 
 

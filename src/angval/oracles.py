@@ -60,15 +60,7 @@ def fd_angle_derivative(w, wdot, h):
     wdot = np.asarray(wdot, dtype=float)
     q0, _ = np.linalg.qr(w)
     q1, _ = np.linalg.qr(w + h * wdot)
-    sig = np.linalg.svd(q0.T @ q1, compute_uv=False)
-    c = min(max(sig[-1], 0.0), 1.0)
-    if c > 1.0 - 1e-4:
-        resid = q1 - q0 @ (q0.T @ q1)
-        sine = np.linalg.svd(resid, compute_uv=False)[0]
-        ang = math.asin(min(max(float(sine), 0.0), 1.0))
-    else:
-        ang = math.acos(c)
-    return ang / h
+    return _angle_between_orthonormal(q0, q1) / h
 
 
 def procrustes_bruteforce(p1, p2, angle_steps=20000):

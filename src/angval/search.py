@@ -38,8 +38,9 @@ class SubspaceSearchConfig:
         for name, low in (("candidates", 1), ("refine_rounds", 0), ("sample_count", 1)):
             if getattr(self, name) < low:
                 raise ValueError("%s must be at least %d, got %r" % (name, low, getattr(self, name)))
-        if not self.refine_scale > 0.0:
-            raise ValueError("refine_scale must be positive, got %r" % (self.refine_scale,))
+        # no entry of an orthonormal basis exceeds 1, so a larger step only swamps it
+        if not 0.0 < self.refine_scale <= 1.0:
+            raise ValueError("refine_scale must be positive and at most 1, got %r" % (self.refine_scale,))
         if self.sample_times is not None and len(self.sample_times) == 0:
             raise ValueError("sample_times must not be empty")
         if not 0.0 <= self.tail_fraction <= 1.0:
@@ -70,10 +71,24 @@ class AngularValueReport:
     search_is_lower_bound: bool = True
 
 
+def _orthonormal(m):
+    # QR with the signs of R's diagonal moved into Q, so Q depends on m only
+    q, r = np.linalg.qr(m)
+    return q * np.sign(np.diag(r))
+
+
 def haar_basis(rng, d, s):
     """Orthonormal basis drawn from the rotation-invariant distribution."""
-    q, r = np.linalg.qr(rng.standard_normal((d, s)))
-    return q * np.sign(np.diag(r))
+    return _orthonormal(rng.standard_normal((d, s)))
+
+
+def check_budget(d, s, config, steps_per_eval):
+    """Refuse a search whose worst case exceeds the cost cap, before any work."""
+    evals = config.candidates + config.refine_rounds * 2 * d * s
+    if evals * steps_per_eval > config.cost_cap:
+        raise BudgetExceeded(
+            "search needs up to %d evaluations x %g steps > cost cap %g" % (evals, steps_per_eval, config.cost_cap)
+        )
 
 
 def default_sample_times(horizon, count, discrete):
@@ -91,11 +106,11 @@ def _variant_stat(variant, tail_vals):
     return float(np.min(tail_vals))
 
 
-def run_search(evaluate, d, s, variant, horizon, times, config, steps_per_eval):
+def run_search(evaluate, d, s, variant, horizon, times, config):
     """Drive the candidate search and fold the table into the variant value.
 
     evaluate(basis) must return the Cesaro averages at the shared sample
-    times (resolved by the caller).  steps_per_eval feeds the cost cap.
+    times (resolved by the caller, after its `check_budget`).
     """
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r, expected one of %s" % (variant, (VARIANTS,)))
@@ -106,12 +121,6 @@ def run_search(evaluate, d, s, variant, horizon, times, config, steps_per_eval):
     if not np.any(tail_mask):
         tail_mask = np.zeros(len(times), dtype=bool)
         tail_mask[-1] = True
-    worst_case_evals = config.candidates + config.refine_rounds * 2 * d * s
-    if worst_case_evals * steps_per_eval > config.cost_cap:
-        raise BudgetExceeded(
-            "search needs up to %d evaluations x %d steps > cost cap %g"
-            % (worst_case_evals, int(steps_per_eval), config.cost_cap)
-        )
     rng = np.random.default_rng(config.seed)
     pool_bases = []
     pool_vals = []
@@ -136,8 +145,7 @@ def run_search(evaluate, d, s, variant, horizon, times, config, steps_per_eval):
                 for sign in (1.0, -1.0):
                     trial = best_basis.copy()
                     trial[i, j] += sign * scale
-                    q, r = np.linalg.qr(trial)
-                    q = q * np.sign(np.diag(r))
+                    q = _orthonormal(trial)
                     vals = np.asarray(evaluate(q))
                     evaluations += 1
                     st = stat(vals)

@@ -17,21 +17,15 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .autonomous import (
-    QuadConfig,
-    SchurSpec,
-    angular_value_irrational,
-    angular_value_resonant_4d,
-    rational_approximation,
-)
+from .autonomous import SchurSpec, angular_value_irrational, angular_value_resonant_4d, rational_approximation
 from .linalg import ComplexBlock, rotation
 
 TWO_PI = 2.0 * math.pi
-# the sweep grid holds about 0.3 qmax^2 ratios, each with a stored line per row
+# the sweep grid holds about 0.3 qmax^2 ratios, each a cell per row
 MAX_QMAX = 100
 
 
@@ -183,8 +177,8 @@ def discrete2d_theta1(phi, rho, tag=None, torus_grid=4096):
 class SweepCell:
     """One (kappa, rho2) cell of the sweep.
 
-    Rational cells carry the sampled vertical line {L(t)} and take their
-    value as its sup; irrational cells hold the torus quadrature value.
+    Rational cells take their value as the sup of the vertical line L(t),
+    attained at t_argmax; irrational cells hold the torus mean.
     err_estimate is the per-cell quadrature diagnostic and seconds the
     wall time the cell took.
     """
@@ -195,7 +189,6 @@ class SweepCell:
     value: float
     err_estimate: float
     t_argmax: Optional[float] = None
-    line: Optional[Tuple[np.ndarray, np.ndarray]] = None
     seconds: float = field(default=0.0, compare=False)
 
 
@@ -240,32 +233,21 @@ def _sweep_cell(omega1, rho1, kappa, rho2, tag, quad):
     t0 = time.perf_counter()
     if tag.rational:
         res = angular_value_resonant_4d(omega1, tag.p, tag.q, rho1, rho2, quad=quad)
-        return SweepCell(
-            kappa=kappa,
-            rho2=rho2,
-            tag=tag,
-            value=res.value,
-            err_estimate=res.error,
-            t_argmax=res.t_argmax,
-            line=(res.t_values, res.l_values),
-            seconds=time.perf_counter() - t0,
-        )
-    spec = SchurSpec(
-        (
-            ComplexBlock(0.0, omega1, rho1),
-            ComplexBlock(-1.0, kappa * omega1, rho2),
-        )
-    )
-    # rationality was already judged at the sweep's q <= Qmax resolution,
-    # so the strict per-call gate (which would reject any float grid
-    # point with a small decimal denominator) is bypassed
-    res = angular_value_irrational(2, spec, quad=quad, override_gate=True)
+        t_argmax = res.t_argmax
+    else:
+        spec = SchurSpec((ComplexBlock(0.0, omega1, rho1), ComplexBlock(-1.0, kappa * omega1, rho2)))
+        # rationality was already judged at the sweep's q <= Qmax resolution,
+        # so the strict per-call gate (which would reject any float grid
+        # point with a small decimal denominator) is bypassed
+        res = angular_value_irrational(2, spec, override_gate=True)
+        t_argmax = None
     return SweepCell(
         kappa=kappa,
         rho2=rho2,
         tag=tag,
         value=res.value,
         err_estimate=res.error,
+        t_argmax=t_argmax,
         seconds=time.perf_counter() - t0,
     )
 
@@ -284,7 +266,7 @@ def hairy_sweep(
     kappa = omega2/omega1 is tagged rational when a fraction p/q with
     q <= qmax matches it to grid precision; those cells evaluate the
     resonant sup-of-line formula, all others the independent-frequency
-    torus quadrature.  Cells are independent; results come back in
+    torus mean.  Cells are independent; results come back in
     (kappa, rho2) lexicographic order regardless of thread count.
     """
     if not (math.isfinite(omega1) and omega1 > 0):
@@ -297,8 +279,6 @@ def hairy_sweep(
         kappa_grid = build_kappa_grid(qmax=qmax)
     if rho2_grid is None:
         rho2_grid = build_rho2_grid()
-    if quad is None:
-        quad = QuadConfig()
     jobs = []
     for kappa in sorted(float(k) for k in kappa_grid):
         if not (math.isfinite(kappa) and kappa > 0):

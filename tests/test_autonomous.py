@@ -11,7 +11,6 @@ from scipy.linalg import expm
 from angval.autonomous import (
     QuadConfig,
     SchurSpec,
-    _max_mean,
     admissible_sets,
     angular_value_irrational,
     angular_value_resonant_4d,
@@ -286,9 +285,7 @@ def test_lower_bound_on_random_specs():
                 ComplexBlock(-1.0, omegas[1], rhos[1]),
             )
         )
-        res = angular_value_irrational(
-            2, spec, QuadConfig(panels=512), override_gate=True
-        )
+        res = angular_value_irrational(2, spec, override_gate=True)
         assert res.value >= max(omegas) - 1e-8
 
 
@@ -301,12 +298,11 @@ def test_set_inclusion_monotonicity():
             ComplexBlock(-2.0, rng.uniform(0.3, 2.0), 0.2),
         )
     )
-    quad = QuadConfig(panels=512)
-    singles = [integral_for_set(spec, (j,), quad).value for j in (1, 2, 3)]
-    pair = integral_for_set(spec, (1, 2), quad).value
-    triple = integral_for_set(spec, (1, 2, 3), quad).value
+    singles = [integral_for_set(spec, (j,)).value for j in (1, 2, 3)]
+    pair = integral_for_set(spec, (1, 2)).value
+    triple = integral_for_set(spec, (1, 2, 3)).value
     assert pair >= max(singles[0], singles[1]) - 1e-9
-    assert triple >= pair - 1e-12  # one rule on one grid: exact up to rounding
+    assert triple >= pair - 1e-12  # both exact up to rounding
 
 
 _block_params = st.tuples(st.floats(0.1, 3.0), st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
@@ -314,28 +310,23 @@ _block_params = st.tuples(st.floats(0.1, 3.0), st.one_of(st.just(1.0), st.floats
 
 @st.composite
 def _torus_axes(draw):
-    """2 to 4 (omega, rho) pairs, each fresh or a copy of the one before."""
+    """2 to 5 (omega, rho) pairs, each fresh or a copy of the one before."""
     params = [draw(_block_params)]
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 4))):
         params.append(params[-1] if draw(st.booleans()) else draw(_block_params))
     return params
 
 
-@settings(max_examples=150)
-@given(_torus_axes(), st.integers(2, 32))
-@example([(1.0, 0.5), (1.0, 0.5), (1.0, 0.5)], 7)
-@example([(1.0, 1.0), (2.0, 0.3)], 2)
-def test_max_mean_matches_explicit_grid(params, n):
-    mid = (np.arange(n) + 0.5) * (math.pi / n)
-    axes = np.meshgrid(*[mid] * len(params), indexing="ij")
-    speeds = [ellipse_speed(ax, ComplexBlock(0.0, w, r)) for ax, (w, r) in zip(axes, params)]
-    want = float(np.maximum.reduce(speeds).mean())
-    assert abs(_max_mean(params, n) - want) <= 1e-13 * want
+def _torus_spec(params):
+    return SchurSpec(tuple(ComplexBlock(-float(i), w, r) for i, (w, r) in enumerate(params)))
 
 
 def _speed_cdf(x, omega, rho):
     # theta uniform on [0, pi]: E(theta) <= x iff sin^2 theta <= u below,
-    # and |sin theta| has the arcsine law P(|sin theta| <= y) = (2/pi) asin y
+    # and |sin theta| has the arcsine law P(|sin theta| <= y) = (2/pi) asin y;
+    # at rho = 1 the speed is omega for every theta
+    if rho == 1.0:
+        return float(x >= omega)
     u = (1.0 - rho * omega / x) / (1.0 - rho * rho)
     return 2.0 / math.pi * math.asin(math.sqrt(min(max(u, 0.0), 1.0)))
 
@@ -353,27 +344,40 @@ def _torus_reference(params):
     return lo + quad(tail, lo, hi, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
 
 
+@settings(max_examples=150)
+@given(_torus_axes())
+@example([(1.0, 0.5), (1.0, 0.5), (1.0, 0.5)])
+@example([(1.0, 1.0), (2.0, 0.3)])
+@example([(1.0, 1.0), (1.0, 1.0)])
+@example([(0.7, 1.0), (1.3, 1.0), (1.1, 0.2), (1.1, 0.2), (3.0, 0.05)])
+def test_torus_rule_and_error_match_1d_reference(params):
+    # the value to 1e-10, and its error bounds the true error
+    sv = integral_for_set(_torus_spec(params), tuple(range(1, len(params) + 1)))
+    err = abs(sv.value - _torus_reference(params))
+    assert err <= 1e-10
+    assert err <= sv.error + 1e-12
+
+
 @pytest.mark.parametrize("size", [3, 4, 5])
 def test_torus_rule_matches_1d_reference(size):
     rng = np.random.default_rng(40 + size)
     for _ in range(4):
         params = list(zip(rng.uniform(0.2, 3.0, size), rng.uniform(0.05, 0.95, size)))
-        spec = SchurSpec(tuple(ComplexBlock(-float(i), w, r) for i, (w, r) in enumerate(params)))
-        got = integral_for_set(spec, tuple(range(1, size + 1))).value
-        assert abs(got - _torus_reference(params)) <= 1e-6
+        got = integral_for_set(_torus_spec(params), tuple(range(1, size + 1))).value
+        assert abs(got - _torus_reference(params)) <= 1e-10
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"panels": 1},
-        {"panels": -4},
+        {"tau_panels": 0},
+        {"tau_panels": -4},
         {"tau_panels": 1},
         {"t_points": 0},
-        {"panels": 2**20 + 1},
+        {"tau_panels": 2**20 + 1},
         {"tau_panels": 10**9},
         {"t_points": 2**16 + 1},
-        {"panels": 2048.5},
+        {"tau_panels": 2880.5},
         {"t_points": True},
     ],
 )
@@ -423,6 +427,7 @@ def test_resonant_lower_bound():
         res = angular_value_resonant_4d(1.0, p, q, rho1=1 / 3, rho2=1 / 4)
         omega2 = p / q
         assert res.value >= max(1.0, omega2) - 1e-8
+        assert res.value >= res.l_values.max() - 1e-12
 
 
 def test_resonant_dominates_irrational_formula():

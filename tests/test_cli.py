@@ -273,7 +273,7 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
             "rho1": 1.0 / 3.0,
             "kappa_grid": [0.5, 0.505],
             "rho2_grid": [0.25],
-            "quad": {"panels": 512, "t_points": 180, "tau_panels": 720},
+            "quad": {"t_points": 180, "tau_panels": 720},
         },
     )
     out1 = tmp_path / "s1.csv"
@@ -354,7 +354,6 @@ def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
             "rho1": 0.5,
             "kappa_grid": [0.7],
             "rho2_grid": [0.5],
-            "quad": {"panels": 256},
         },
     )
     monkeypatch.setenv("ANGVAL_THREADS", "2")
@@ -392,7 +391,7 @@ def test_sweep_meta_records_clamped_threads(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "s.json",
-        {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5], "quad": {"panels": 256}},
+        {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5]},
     )
     out = tmp_path / "s.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "64"]) == 0
@@ -419,10 +418,10 @@ _BIRKHOFF = {
 @pytest.mark.parametrize(
     "command,cfg",
     [
-        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"panels": 1}}),
-        ("sweep", dict(_SWEEP, quad={"panels": 1})),
+        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"t_points": 0}}),
+        ("sweep", dict(_SWEEP, quad={"tau_panels": 1})),
         ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": 1, "t_points": 0}}),
-        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"panels": -4}}),
+        ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": -4}}),
         ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": 1000000000}}),
         ("sweep", dict(_SWEEP, quad={"t_points": 10**6})),
     ],
@@ -437,7 +436,7 @@ def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
 @pytest.mark.parametrize(
     "command,cfg,message",
     [
-        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"panels": 2048.5}}, "panels"),
+        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"tau_panels": 2880.5}}, "tau_panels"),
         ("autonomous", {"resonant": _RESONANT, "quad": {"t_points": "720"}}, "t_points"),
         ("sweep", dict(_SWEEP, quad={"tau_panels": True}), "tau_panels"),
         ("sweep", dict(_SWEEP, qmax=20.5), "qmax"),
@@ -502,7 +501,7 @@ def test_oracle_sizes_are_refused_before_work(tmp_path, capsys, monkeypatch, cfg
     assert message in captured.err and "value =" not in captured.out
 
 
-@pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed"])
+@pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed", "panels"])
 def test_removed_quad_keys_are_exit_2(tmp_path, capsys, key):
     path = write_config(tmp_path, "q.json", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {key: 8}})
     assert main(["autonomous", "--config", path]) == 2
@@ -590,6 +589,10 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         ("continuous", dict(_MODEL2D, system=[1, 2]), 2, "system must be a JSON object"),
         ("oracle", dict(_BIRKHOFF, v0=[[0.0], [0.0]]), 3, "rank deficient"),
         ("oracle", dict(_BIRKHOFF, v0=[[1.0, 2.0], [2.0, 4.0]]), 3, "rank deficient"),
+        # refused before the sample-time indices overflow their integer cast
+        ("continuous", dict(_MODEL2D, step=1e-300), 4, "x 1e+301 steps > cost cap"),
+        ("discrete", dict(_IDENTITY, system={"kind": "cycle", "matrices": [np.eye(2).tolist()]},
+                          search={"refine_scale": 1e308}), 2, "refine_scale must be positive and at most 1"),
     ],
 )
 def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, command, cfg, code, message):
