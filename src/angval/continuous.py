@@ -5,14 +5,15 @@ estimates."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
-from .errors import StepUnstable
-from .linalg import square_matrix
+from .errors import BudgetExceeded, StepUnstable
+from .linalg import spectral_norms, square_matrix
 from .search import check_budget, default_sample_times, run_search
 
 
@@ -94,18 +95,7 @@ def _varying_blocks(gen, h, nsteps, a0):
 def _speeds(q, aq):
     """Angular speed ||(I - Q Q^T) A Q||_2 of an orthonormal basis Q, or of
     each member of a stack of them, given A Q."""
-    m = aq - q @ (q.swapaxes(-1, -2) @ aq)
-    g = m.swapaxes(-1, -2) @ m
-    s = g.shape[-1]
-    if s == 1:
-        speeds = np.sqrt(g[..., 0, 0])
-    elif s == 2:
-        g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-        speeds = np.sqrt(0.5 * (g00 + g11 + np.sqrt((g00 - g11) ** 2 + 4.0 * g01 * g01)))
-    elif np.isfinite(g).all():
-        speeds = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0))
-    else:
-        speeds = np.full(g.shape[:-2], np.inf)
+    speeds = spectral_norms(aq - q @ (q.swapaxes(-1, -2) @ aq))
     if not np.isfinite(speeds).all():
         raise StepUnstable("angular speed is non-finite")
     return speeds
@@ -138,6 +128,8 @@ def _propagator(sys, h, nsteps):
 def _resolve_steps(t_end, h):
     if not (t_end > 0.0 and h > 0.0):
         raise ValueError("need a positive horizon and step, got %r and %r" % (t_end, h))
+    if not math.isfinite(t_end / h):  # before the integer cast overflows
+        raise BudgetExceeded("horizon %g / step %g is not a finite number of steps" % (t_end, h))
     nsteps = max(int(round(t_end / h)), 1)
     return nsteps, t_end / nsteps
 

@@ -10,9 +10,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import grassmann
 from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
 from .errors import SingularMatrix, StepUnstable
-from .grassmann import max_angle_between_bases
 from .linalg import rotation, square_matrix
 from .search import check_budget, default_sample_times, run_search
 
@@ -98,10 +98,9 @@ def _propagator(sys, n):
         total, ptr, q = 0.0, 0, b0
         try:
             for nodes, ends in _carry(b0, blocks()):
-                skip = min(max(m - ends[0], 0), len(nodes))  # nodes before m add nothing
-                prev = [q, *nodes[:-1]]
-                angles = [0.0] * skip + [max_angle_between_bases(u, w) for u, w in zip(prev[skip:], nodes[skip:])]
-                running = np.cumsum([total, *angles])
+                angles = grassmann.max_angles(np.concatenate([q[None], nodes[:-1]]), nodes)
+                angles[: max(m - ends[0], 0)] = 0.0  # nodes before m add nothing
+                running = np.cumsum(np.concatenate([[total], angles]))
                 hi = np.searchsorted(times, ends[-1], side="right")
                 out[ptr:hi] = running[times[ptr:hi] - ends[0] + 1]
                 total, ptr, q = running[-1], hi, nodes[-1]

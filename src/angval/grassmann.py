@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_matrix, qr_thin, singular_values, spectral_norm, svd
+from .linalg import as_matrix, qr_thin, singular_values, spectral_norm, spectral_norms, svd
 
 # Above this cosine the arccos loses digits and the sine path takes over.
 _SINE_PATH_THRESHOLD = 1.0 - 1e-4
@@ -129,13 +129,13 @@ def _gram_sigma_min_2x2(g):
 def max_angle_between_bases(b1, b2):
     """Largest principal angle between the spans of two orthonormal bases.
 
-    Fast path used inside propagation loops; equivalent to
-    principal_angles(...).angles[-1].
+    The kernel for a single pair (max_angles takes a stack of them);
+    equivalent to principal_angles(...).angles[-1].
     """
     s = b1.shape[1]
     if s == 1:
         # two lines: the cosine is |<b1, b2>| and the sine the norm of the
-        # residual, in scalar arithmetic (this runs once per propagated node)
+        # residual, in scalar arithmetic
         dot = float(np.vdot(b1, b2))
         c = min(abs(dot), 1.0)
         if c > _SINE_PATH_THRESHOLD:
@@ -152,6 +152,30 @@ def max_angle_between_bases(b1, b2):
         sine = spectral_norm(b2 - b1 @ g)
         return math.asin(min(max(sine, 0.0), 1.0))
     return math.acos(c)
+
+
+def max_angles(b1, b2):
+    """Largest principal angle between each pair of members of two (n, d, s)
+    stacks of orthonormal bases, by the rules of max_angle_between_bases in
+    one pass over the stack; a single pair costs less through that one."""
+    g = b1.swapaxes(-1, -2) @ b2
+    s = g.shape[-1]
+    if s == 1:
+        c = np.abs(g[:, 0, 0])
+    elif s == 2:
+        # |det g| / sigma_max, as in _gram_sigma_min_2x2
+        det = np.abs(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0])
+        sigma_max = spectral_norms(g)
+        c = np.divide(det, sigma_max, out=np.zeros_like(det), where=sigma_max > 0.0)
+    else:
+        c = singular_values(g)[:, -1]
+    c = np.clip(c, 0.0, 1.0)
+    angles = np.arccos(c)
+    sine = c > _SINE_PATH_THRESHOLD
+    if sine.any():
+        residual = b2[sine] - b1[sine] @ g[sine]
+        angles[sine] = np.arcsin(np.clip(spectral_norms(residual), 0.0, 1.0))
+    return angles
 
 
 def max_angle(v, w):

@@ -127,6 +127,22 @@ def spectral_norm(m):
     return float(singular_values(a)[0])
 
 
+def spectral_norms(m):
+    """Largest singular value of each member of a (..., d, s) stack, from its
+    Gram matrix m^T m (a closed form at s <= 2, eigvalsh at s >= 3); a
+    non-finite member reads inf or nan."""
+    g = m.swapaxes(-1, -2) @ m
+    s = g.shape[-1]
+    if s == 1:
+        return np.sqrt(g[..., 0, 0])
+    if s == 2:
+        g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+        return np.sqrt(0.5 * (g00 + g11 + np.sqrt((g00 - g11) ** 2 + 4.0 * g01 * g01)))
+    if not np.isfinite(g).all():
+        return np.full(g.shape[:-2], np.inf)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0))
+
+
 # Real quasitriangular building blocks.  A ComplexBlock packs a conjugate
 # eigenvalue pair beta +- i*omega with shape parameter rho as the 2x2 matrix
 # [[beta, -omega/rho], [rho*omega, beta]]; a RealBlock is the 1x1 [[beta]].

@@ -593,6 +593,8 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         ("continuous", dict(_MODEL2D, step=1e-300), 4, "x 1e+301 steps > cost cap"),
         ("discrete", dict(_IDENTITY, system={"kind": "cycle", "matrices": [np.eye(2).tolist()]},
                           search={"refine_scale": 1e308}), 2, "refine_scale must be positive and at most 1"),
+        # refused before the step count overflows its integer cast
+        ("continuous", dict(_MODEL2D, horizon=1e300, step=1e-300), 4, "is not a finite number of steps"),
     ],
 )
 def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, command, cfg, code, message):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_subspace, random_orthogonal
 
-from angval import blocks
+from angval import blocks, grassmann
 from angval.blocks import _MAX_BLOCK, _segment_blocks
 from angval.discrete import (
     DiscreteSystem,
@@ -302,16 +302,19 @@ def test_constant_orthogonal_map_is_one_block(monkeypatch):
 
 def test_well_conditioned_cycle_is_one_batch_per_chunk(monkeypatch):
     # segments that pass the condition test are propagated a chunk at a
-    # time, so the cost of a step does not depend on where cond would cut
-    calls = []
-    orthonormalize = blocks._orthonormalize
+    # time, so the cost of a step does not depend on where cond would cut;
+    # the angles between consecutive nodes are one kernel call per block
+    calls, kernel_calls = [], []
+    orthonormalize, kernel = blocks._orthonormalize, grassmann.max_angles
     monkeypatch.setattr(blocks, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
+    monkeypatch.setattr(grassmann, "max_angles", lambda b1, b2: kernel_calls.append(len(b2)) or kernel(b1, b2))
     rng = np.random.default_rng(4)
     mats = [random_orthogonal(rng, 3) @ np.diag(rng.uniform(0.5, 2.0, 3)) for _ in range(8)]
     v = haar_subspace(rng, 3, 2)
     sys, n = DiscreteSystem.from_sequence(mats, cycle=True), 2 * _MAX_BLOCK - 12
     total = angle_sum(sys, v, 1, n)
     assert calls == [_MAX_BLOCK, _MAX_BLOCK]  # identity maps pad the last segment
+    assert kernel_calls == [_MAX_BLOCK, n - _MAX_BLOCK]  # padding dropped
     assert total == pytest.approx(_stepwise_sums(sys, v.basis, n)[-1], rel=1e-12)
 
 

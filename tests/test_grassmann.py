@@ -14,6 +14,7 @@ from angval.grassmann import (
     coordinate_subspace,
     max_angle,
     max_angle_between_bases,
+    max_angles,
     metric_d1,
     metric_d2,
     metric_dF,
@@ -260,9 +261,23 @@ def _hard_angle_pairs(draw):
 
 @settings(max_examples=300)
 @given(_hard_angle_pairs())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_max_angle_kernel_matches_oracle(pair):
+    # the scalar kernel on the pair, and the stacked one on the pair among a
+    # sine-path member, an arccos member, and one whose cross-Gram matrix is
+    # exactly 0 (sigma_max = 0 must read pi/2 without a warning)
     v, w = pair
-    assert abs(max_angle_between_bases(v, w) - _angle_between_orthonormal(v, w)) <= 1e-12
+    d, s = v.shape
+    rng = np.random.default_rng(10 * d + s)
+    e, rot = np.eye(d), random_orthogonal(rng, d)
+    near, generic = ((e[:, :s] * math.cos(t) + e[:, s : 2 * s] * math.sin(t)) for t in (1e-6, 0.7))
+    b1 = np.stack([v, rot[:, :s], rot[:, :s], e[:, :s]])
+    b2 = np.stack([w, rot @ near @ random_orthogonal(rng, s), rot @ generic, e[:, s : 2 * s]])
+    stacked = max_angles(b1, b2)
+    for u, x, angle in zip(b1, b2, stacked):
+        want = _angle_between_orthonormal(u, x)
+        assert abs(max_angle_between_bases(u, x) - want) <= 1e-12
+        assert abs(angle - want) <= 1e-12
 
 
 def test_maxmin_oracle_coordinate_planes():
