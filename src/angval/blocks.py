@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StepUnstable
+from .linalg import singular_values
 
 _MAX_BLOCK = 256
 _SEGMENT = 16
@@ -33,7 +34,7 @@ def _conditioned(prods):
     are at most _BLOCK_COND."""
     finite = np.all(np.isfinite(prods), axis=(-2, -1))
     cond = np.full(finite.shape, np.inf)
-    sigma = np.linalg.svd(prods[finite], compute_uv=False)
+    sigma = singular_values(prods[finite])
     cond[finite] = sigma[:, 0] / sigma[:, -1]
     return cond <= _BLOCK_COND  # 0/0 is nan: a zero product fails too
 

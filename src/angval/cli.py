@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -27,18 +28,7 @@ from .autonomous import (
 )
 from .continuous import ContinuousSystem, estimate_angular_value_ct
 from .discrete import DiscreteSystem, estimate_angular_value
-from .errors import (
-    AngvalError,
-    BudgetExceeded,
-    DimensionMismatch,
-    InvalidBlock,
-    NoConvergence,
-    NotCoprime,
-    RankDeficient,
-    RationalityDetected,
-    SingularMatrix,
-    StepUnstable,
-)
+from .errors import AngvalError, BudgetExceeded, DimensionMismatch
 from .grassmann import (
     metric_d1,
     metric_d2,
@@ -55,14 +45,15 @@ from .smoothness import CurvePoint, angle_derivative_right
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
-EXIT_NUMERICAL = 3
-EXIT_BUDGET = 4
 
 MAX_ORACLE_SAMPLES = 10**7
 
 
 def load_matrix(path):
     """Read a `# rows cols` headed CSV matrix file of finite numbers."""
+    if not isinstance(path, (str, os.PathLike)):
+        # open() would take an integer for a file descriptor, and close it
+        raise ValueError("matrix path must be a string, got %r" % (path,))
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -132,69 +123,32 @@ def _angle_scale(args):
     return 180.0 / math.pi if args.degrees else 1.0
 
 
-def _finite_number(text):
-    x = float(text)
-    if not math.isfinite(x):
+def _finite_number(text, kind=float):
+    if not math.isfinite(float(text)):
         raise ValueError("config value %s is not a finite number" % text)
-    return x
+    return kind(text)
 
 
 def load_config(args):
     if not args.config:
         raise ValueError("the %s command needs --config" % args.command)
     with open(args.config) as fh:
-        # NaN, Infinity and overflowing literals are bad input, not values
-        return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        # NaN, Infinity and literals beyond the float range are bad input, not values
+        return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number,
+                         parse_int=lambda text: _finite_number(text, int))
 
 
-def build_discrete_system(cfg):
-    if not isinstance(cfg, dict):
-        raise ValueError("system must be a JSON object, got %r" % (cfg,))
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        return DiscreteSystem.constant(cfg["matrix"])
-    if kind == "cycle":
-        return DiscreteSystem.from_sequence(cfg["matrices"], cycle=True)
-    if kind == "planar_rotation":
-        return DiscreteSystem.planar_rotation(float(cfg["rho"]), float(cfg["phi"]))
-    raise ValueError("unknown discrete system kind %r" % kind)
+def _number(key, x):
+    # float() would also take true and "0.3"
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError("%s must be a finite number, got %r" % (key, x))
+    return float(x)
 
 
-def build_continuous_system(cfg):
-    if not isinstance(cfg, dict):
-        raise ValueError("system must be a JSON object, got %r" % (cfg,))
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        return ContinuousSystem.from_constant(cfg["matrix"])
-    if kind == "model2d":
-        return ContinuousSystem.model2d(float(cfg["rho"]), float(cfg["omega"]))
-    raise ValueError("unknown continuous system kind %r" % kind)
-
-
-def build_schur_spec(blocks_cfg):
-    blocks = []
-    for b in blocks_cfg:
-        if "omega" in b:
-            blocks.append(ComplexBlock(float(b["beta"]), float(b["omega"]), float(b["rho"])))
-        else:
-            blocks.append(RealBlock(float(b["beta"])))
-    return SchurSpec(tuple(blocks))
-
-
-def build_search_config(cfg, seed):
-    s = dict(cfg.get("search", {}))
-    kwargs = {"seed": seed}
-    for key in ("candidates", "refine_rounds", "sample_count"):
-        if key in s:
-            kwargs[key] = _integral(key, s.pop(key))
-    for key in ("refine_scale", "tail_fraction", "cost_cap"):
-        if key in s:
-            kwargs[key] = float(s.pop(key))
-    if "sample_times" in s:
-        kwargs["sample_times"] = list(s.pop("sample_times"))
-    if s:
-        raise ValueError("unknown search settings: %s" % ", ".join(sorted(s)))
-    return SubspaceSearchConfig(**kwargs)
+def _numbers(key, xs):
+    for x in xs:
+        _number(key, x)
+    return list(xs)  # as given, so that messages quote the config
 
 
 def _integral(key, x):
@@ -206,21 +160,82 @@ def _integral(key, x):
     return x
 
 
+def _settings(cfg, name, readers):
+    """The optional settings object cfg[name], each known key read by its
+    reader; any other key is refused."""
+    given = cfg.get(name, {})
+    if not isinstance(given, dict):
+        raise ValueError("%s must be a JSON object, got %r" % (name, given))
+    settings = {key: read(key, given[key]) for key, read in readers.items() if key in given}
+    unknown = sorted(set(given) - set(readers))
+    if unknown:
+        raise ValueError("unknown %s settings: %s" % (name, ", ".join(unknown)))
+    return settings
+
+
+# system kinds of each time class: kind -> the system its config describes
+_DISCRETE_KINDS = {
+    "constant": lambda cfg: DiscreteSystem.constant(cfg["matrix"]),
+    "cycle": lambda cfg: DiscreteSystem.from_sequence(cfg["matrices"], cycle=True),
+    "planar_rotation": lambda cfg: DiscreteSystem.planar_rotation(
+        _number("rho", cfg["rho"]), _number("phi", cfg["phi"])
+    ),
+}
+_CONTINUOUS_KINDS = {
+    "constant": lambda cfg: ContinuousSystem.from_constant(cfg["matrix"]),
+    "model2d": lambda cfg: ContinuousSystem.model2d(_number("rho", cfg["rho"]), _number("omega", cfg["omega"])),
+}
+
+
+def _build_system(cfg, kinds, time_class):
+    if not isinstance(cfg, dict):
+        raise ValueError("system must be a JSON object, got %r" % (cfg,))
+    kind = cfg.get("kind", "constant")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError("unknown %s system kind %r" % (time_class, kind))
+    return kinds[kind](cfg)
+
+
+def build_discrete_system(cfg):
+    return _build_system(cfg, _DISCRETE_KINDS, "discrete")
+
+
+def build_continuous_system(cfg):
+    return _build_system(cfg, _CONTINUOUS_KINDS, "continuous")
+
+
+def build_schur_spec(blocks_cfg):
+    blocks = []
+    for b in blocks_cfg:
+        if "omega" in b:
+            blocks.append(ComplexBlock(*(_number(key, b[key]) for key in ("beta", "omega", "rho"))))
+        else:
+            blocks.append(RealBlock(_number("beta", b["beta"])))
+    return SchurSpec(tuple(blocks))
+
+
+_SEARCH_KEYS = {
+    **dict.fromkeys(("candidates", "refine_rounds", "sample_count"), _integral),
+    **dict.fromkeys(("refine_scale", "tail_fraction", "cost_cap"), _number),
+    "sample_times": _numbers,
+}
+
+
+def build_search_config(cfg, seed):
+    return SubspaceSearchConfig(seed=seed, **_settings(cfg, "search", _SEARCH_KEYS))
+
+
 def build_quad_config(cfg):
-    q = dict(cfg.get("quad", {}))
-    kwargs = {}
-    for key in ("tau_panels", "t_points"):
-        if key in q:
-            kwargs[key] = _integral(key, q.pop(key))
-    if q:
-        raise ValueError("unknown quad settings: %s" % ", ".join(sorted(q)))
-    return QuadConfig(**kwargs)
+    return QuadConfig(**_settings(cfg, "quad", dict.fromkeys(("tau_panels", "t_points"), _integral)))
+
+
+def _subspace_pair(args, v, w):
+    """The subspaces spanned by the matrix files v and w, at --tol."""
+    return [subspace_from_spanning(load_matrix(path), tol=args.tol) for path in (v, w)]
 
 
 def cmd_angles(args):
-    v = subspace_from_spanning(load_matrix(args.v), tol=args.tol)
-    w = subspace_from_spanning(load_matrix(args.w), tol=args.tol)
-    res = principal_angles(v, w)
+    res = principal_angles(*_subspace_pair(args, args.v, args.w))
     scale = _angle_scale(args)
     rows = [
         (j + 1, float(phi * scale), float(math.cos(phi)), float(math.sin(phi)))
@@ -231,8 +246,7 @@ def cmd_angles(args):
 
 
 def cmd_metrics(args):
-    v = subspace_from_spanning(load_matrix(args.v), tol=args.tol)
-    w = subspace_from_spanning(load_matrix(args.w), tol=args.tol)
+    v, w = _subspace_pair(args, args.v, args.w)
     scale = _angle_scale(args)
     rows = [
         ("d1", float(metric_d1(v, w) * scale)),
@@ -250,70 +264,34 @@ def cmd_derivative(args):
     if w.shape != wdot.shape:
         raise DimensionMismatch("W and Wdot must have matching shapes")
     val = angle_derivative_right(CurvePoint(w=w, wdot=wdot)) * _angle_scale(args)
-    _emit(
-        args,
-        ("derivative",),
-        [(float(val),)],
-        _meta(args, {"w": args.w, "wdot": args.wdot}, value=val),
-    )
+    _emit(args, ("derivative",), [(float(val),)], _meta(args, {"w": args.w, "wdot": args.wdot}, value=val))
     print("value = %s" % repr(float(val)))
     return EXIT_OK
 
 
-def _report_rows(rep):
-    return [
-        (
-            rep.variant,
-            rep.subspace_dim,
-            float(rep.horizon),
-            float(rep.value),
-            float(rep.tail_sup),
-            float(rep.tail_inf),
-            rep.candidates,
-            rep.evaluations,
-        )
-    ]
+# time class -> (system from config, estimator, reader of the horizon [and step])
+_TIME_CLASSES = {
+    "discrete": (build_discrete_system, estimate_angular_value,
+                 lambda cfg: (_integral("horizon", cfg["horizon"]),)),
+    "continuous": (build_continuous_system, estimate_angular_value_ct,
+                   lambda cfg: (_number("horizon", cfg["horizon"]), _number("step", cfg["step"]))),
+}
 
 
-_REPORT_HEADERS = (
-    "variant",
-    "s",
-    "horizon",
-    "value",
-    "tail_sup",
-    "tail_inf",
-    "candidates",
-    "evaluations",
-)
-
-
-def cmd_discrete(args):
+def cmd_estimate(args):
     cfg = load_config(args)
-    sys_ = build_discrete_system(cfg["system"])
-    rep = estimate_angular_value(
-        sys_,
+    build, estimate, read_horizon = _TIME_CLASSES[args.command]
+    rep = estimate(
+        build(cfg["system"]),
         _integral("s", cfg.get("s", 1)),
         cfg.get("variant", "sup-limsup"),
-        _integral("horizon", cfg["horizon"]),
+        *read_horizon(cfg),
         build_search_config(cfg, args.seed),
     )
-    _emit(args, _REPORT_HEADERS, _report_rows(rep), _meta(args, cfg, value=rep.value))
-    print("value = %s" % repr(float(rep.value)))
-    return EXIT_OK
-
-
-def cmd_continuous(args):
-    cfg = load_config(args)
-    sys_ = build_continuous_system(cfg["system"])
-    rep = estimate_angular_value_ct(
-        sys_,
-        _integral("s", cfg.get("s", 1)),
-        cfg.get("variant", "sup-limsup"),
-        float(cfg["horizon"]),
-        float(cfg["step"]),
-        build_search_config(cfg, args.seed),
-    )
-    _emit(args, _REPORT_HEADERS, _report_rows(rep), _meta(args, cfg, value=rep.value))
+    headers = ("variant", "s", "horizon", "value", "tail_sup", "tail_inf", "candidates", "evaluations")
+    row = (rep.variant, rep.subspace_dim, float(rep.horizon), float(rep.value), float(rep.tail_sup),
+           float(rep.tail_inf), rep.candidates, rep.evaluations)
+    _emit(args, headers, [row], _meta(args, cfg, value=rep.value))
     print("value = %s" % repr(float(rep.value)))
     return EXIT_OK
 
@@ -324,11 +302,11 @@ def cmd_autonomous(args):
     if "resonant" in cfg:
         r = cfg["resonant"]
         res = angular_value_resonant_4d(
-            float(r["omega1"]),
+            _number("omega1", r["omega1"]),
             _integral("p", r["p"]),
             _integral("q", r["q"]),
-            float(r["rho1"]),
-            float(r["rho2"]),
+            _number("rho1", r["rho1"]),
+            _number("rho2", r["rho2"]),
             quad=quad,
         )
         rows = [(float(t), float(l)) for t, l in zip(res.t_values, res.l_values)]
@@ -360,8 +338,8 @@ def cmd_autonomous(args):
 def cmd_sweep(args):
     cfg = load_config(args)
     cells = hairy_sweep(
-        float(cfg["omega1"]),
-        float(cfg["rho1"]),
+        _number("omega1", cfg["omega1"]),
+        _number("rho1", cfg["rho1"]),
         kappa_grid=cfg.get("kappa_grid"),
         rho2_grid=cfg.get("rho2_grid"),
         qmax=_integral("qmax", cfg.get("qmax", 20)),
@@ -407,23 +385,17 @@ def cmd_oracle(args):
         if not 1 <= samples <= MAX_ORACLE_SAMPLES:
             # the oracle tabulates sqrt(samples)^2 doubles for planes
             raise ValueError("samples must be in 1..%d" % MAX_ORACLE_SAMPLES)
-        v = subspace_from_spanning(load_matrix(cfg["v"]), tol=args.tol)
-        w = subspace_from_spanning(load_matrix(cfg["w"]), tol=args.tol)
-        val = maxmin_angle(v, w, samples=samples, seed=args.seed)
+        val = maxmin_angle(*_subspace_pair(args, cfg["v"], cfg["w"]), samples=samples, seed=args.seed)
     elif kind == "birkhoff":
         time_kind = cfg.get("time", "discrete")
-        if time_kind == "discrete":
-            sys_ = build_discrete_system(cfg["system"])
-            horizon = _integral("horizon", cfg["horizon"])
-            step, nsteps = None, horizon
-        elif time_kind == "continuous":
-            sys_ = build_continuous_system(cfg["system"])
-            horizon, step = float(cfg["horizon"]), float(cfg["step"])
-            if not step > 0.0:
-                raise ValueError("oracle step must be positive")
-            nsteps = horizon / step
-        else:
+        if time_kind not in ("discrete", "continuous"):
             raise ValueError("oracle time must be discrete or continuous")
+        build, _, read_horizon = _TIME_CLASSES[time_kind]
+        sys_ = build(cfg["system"])
+        horizon, step = (*read_horizon(cfg), None)[:2]  # a discrete horizon has no step
+        if step is not None and not step > 0.0:
+            raise ValueError("oracle step must be positive")
+        nsteps = horizon if step is None else horizon / step
         # one QR and one SVD per step, capped like one search evaluation
         if nsteps > SubspaceSearchConfig.cost_cap:
             raise BudgetExceeded(
@@ -435,9 +407,7 @@ def cmd_oracle(args):
         v0 = load_matrix(v0) if isinstance(v0, str) else np.asarray(v0, dtype=float)
         val = birkhoff_average(sys_, v0, horizon, step=step)
     elif kind == "fd_derivative":
-        val = fd_angle_derivative(
-            load_matrix(cfg["w"]), load_matrix(cfg["wdot"]), float(cfg["h"])
-        )
+        val = fd_angle_derivative(load_matrix(cfg["w"]), load_matrix(cfg["wdot"]), _number("h", cfg["h"]))
     else:
         raise ValueError("unknown oracle kind %r" % kind)
     val = float(val) * _angle_scale(args)
@@ -475,8 +445,8 @@ def build_parser():
     pd.set_defaults(func=cmd_derivative)
 
     for name, fn, help_ in (
-        ("discrete", cmd_discrete, "discrete-time angular value estimate"),
-        ("continuous", cmd_continuous, "continuous-time angular value estimate"),
+        ("discrete", cmd_estimate, "discrete-time angular value estimate"),
+        ("continuous", cmd_estimate, "continuous-time angular value estimate"),
         ("autonomous", cmd_autonomous, "closed-form autonomous angular value"),
         ("sweep", cmd_sweep, "two-frequency (kappa, rho2) parameter sweep"),
         ("oracle", cmd_oracle, "slow reference evaluations"),
@@ -491,16 +461,10 @@ def main(argv=None):
     try:
         args.threads = _resolve_threads(args.threads)
         return args.func(args)
-    except BudgetExceeded as exc:
+    except AngvalError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
-    except (RankDeficient, SingularMatrix, NoConvergence, StepUnstable, RationalityDetected) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (DimensionMismatch, InvalidBlock, NotCoprime, AngvalError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        return exc.exit_code
+    except (ValueError, KeyError, TypeError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
 

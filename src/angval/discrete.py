@@ -133,14 +133,14 @@ def estimate_angular_value(sys, s, variant, horizon, config):
     """
     if not (horizon >= 1 and float(horizon).is_integer()):
         raise ValueError("horizon must be a positive integer, got %r" % (horizon,))
-    if config.sample_times is not None:
-        times = np.sort(np.asarray(config.sample_times, dtype=float))
-        if np.any(times != np.round(times)) or times[0] < 1 or times[-1] > horizon:
-            raise ValueError("sample times must be integers in [1, horizon], got %r" % (config.sample_times,))
-        times = times.astype(int)
-    else:
+    times = None if config.sample_times is None else np.sort(np.asarray(config.sample_times, dtype=float))
+    if times is not None and (np.any(times != np.round(times)) or times[0] < 1 or times[-1] > horizon):
+        raise ValueError("sample times must be integers in [1, horizon], got %r" % (config.sample_times,))
+    # before the integer casts, which a huge horizon overflows
+    check_budget(sys.dim, s, config, horizon if times is None else times[-1])
+    if times is None:
         times = default_sample_times(int(horizon), config.sample_count, discrete=True)
-    check_budget(sys.dim, s, config, int(times[-1]))
+    times = times.astype(int)
 
     sums = _propagator(sys, int(times[-1]))
 

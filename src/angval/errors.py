@@ -2,7 +2,11 @@
 
 
 class AngvalError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  `exit_code` is the
+    CLI's exit status for it: 2 bad input, 3 numerical failure, 4 budget
+    exceeded."""
+
+    exit_code = 2
 
 
 class DimensionMismatch(AngvalError):
@@ -12,9 +16,13 @@ class DimensionMismatch(AngvalError):
 class RankDeficient(AngvalError):
     """A matrix that must have full column rank does not, at the given tolerance."""
 
+    exit_code = 3
+
 
 class NoConvergence(AngvalError):
     """An iterative kernel exhausted its iteration budget."""
+
+    exit_code = 3
 
 
 class InvalidBlock(AngvalError):
@@ -24,13 +32,19 @@ class InvalidBlock(AngvalError):
 class SingularMatrix(AngvalError):
     """A matrix that must be invertible is singular at working precision."""
 
+    exit_code = 3
+
 
 class StepUnstable(AngvalError):
     """Time stepping produced a non-finite or rank-collapsed basis."""
 
+    exit_code = 3
+
 
 class BudgetExceeded(AngvalError):
     """A search or estimate would exceed its configured cost cap."""
+
+    exit_code = 4
 
 
 class NotCoprime(AngvalError):
@@ -43,6 +57,8 @@ class RationalityDetected(AngvalError):
     Carries the offending witnesses as a list of (i, j, p, q) tuples:
     omega_j / omega_i is approximated by p/q within the gate tolerance.
     """
+
+    exit_code = 3
 
     def __init__(self, witnesses):
         self.witnesses = list(witnesses)

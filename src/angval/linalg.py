@@ -43,7 +43,7 @@ def qr_thin(m, tol=None):
     ----------
     m : (d, s) array_like, d >= s
     tol : float, optional
-        Rank tolerance relative to ||m||.  Defaults to 1e-10.
+        Rank tolerance relative to ||m||, finite and >= 0.  Defaults to 1e-10.
 
     Returns
     -------
@@ -61,6 +61,8 @@ def qr_thin(m, tol=None):
         raise ValueError("qr_thin needs d >= s, got shape %s" % (a.shape,))
     if tol is None:
         tol = 1e-10
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("rank tolerance must be finite and >= 0, got %r" % (tol,))
     if s == 1:
         # One column: QR is just normalization; ||m|| is the column norm, so
         # the rank check degenerates to "nonzero column".
@@ -71,9 +73,8 @@ def qr_thin(m, tol=None):
         return q, np.array([[nrm]])
     q, r = np.linalg.qr(a)
     # Fix signs so that diag(r) >= 0; the thin factorization is then unique
-    # for full-rank input.
+    # for full-rank input (a zero diagonal fails the rank test below).
     signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
     q = q * signs
     r = signs[:, None] * r
     scale = float(np.linalg.norm(a))

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from angval.cli import load_matrix, main, save_matrix
 
@@ -557,6 +560,11 @@ _PLANAR = {"system": {"kind": "planar_rotation", "rho": 0.5, "phi": 0.3}, "horiz
         ("discrete", dict(_IDENTITY, system={"kind": "cycle", "matrices": []}), "at least one matrix"),
         ("discrete", dict(_PLANAR, system=dict(_PLANAR["system"], rho=0)), "rho must be"),
         ("oracle", {"kind": "fd_derivative", "w": "w.csv", "wdot": "w.csv", "h": 0}, "h must be nonzero"),
+        ("oracle", {"kind": "fd_derivative", "w": "w.csv", "wdot": "w.csv", "h": "1e-6"}, "h must be a finite number"),
+        # open() would take an integer for a file descriptor (stdin, stdout, stderr here) and close it
+        ("oracle", {"kind": "maxmin", "v": 2, "w": "w.csv", "samples": 100}, "matrix path must be a string"),
+        ("oracle", {"kind": "maxmin", "v": 0, "w": "w.csv", "samples": 100}, "matrix path must be a string"),
+        ("oracle", {"kind": "fd_derivative", "w": 1, "wdot": "w.csv", "h": 1e-6}, "matrix path must be a string"),
     ],
 )
 def test_degenerate_estimator_inputs_are_exit_2(tmp_path, capsys, monkeypatch, command, cfg, message):
@@ -595,6 +603,21 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
                           search={"refine_scale": 1e308}), 2, "refine_scale must be positive and at most 1"),
         # refused before the step count overflows its integer cast
         ("continuous", dict(_MODEL2D, horizon=1e300, step=1e-300), 4, "is not a finite number of steps"),
+        # refused before the discrete horizon or sample times overflow their integer casts
+        ("discrete", dict(_PLANAR, horizon=1e19), 4, "x 1e+19 steps > cost cap"),
+        ("discrete", dict(_PLANAR, horizon=1e300), 4, "x 1e+300 steps > cost cap"),
+        ("discrete", dict(_PLANAR, horizon=1e19, search={"sample_times": [1e19]}), 4, "x 1e+19 steps > cost cap"),
+        # config numbers are JSON numbers: float() would also take true and "0.3"
+        ("discrete", dict(_PLANAR, system=dict(_PLANAR["system"], rho=True)), 2, "rho must be a finite number"),
+        ("discrete", dict(_PLANAR, system=dict(_PLANAR["system"], phi="0.3")), 2, "phi must be a finite number"),
+        ("continuous", dict(_MODEL2D, step="0.1"), 2, "step must be a finite number"),
+        ("discrete", dict(_PLANAR, search={"tail_fraction": True}), 2, "tail_fraction must be a finite number"),
+        ("discrete", dict(_PLANAR, search={"sample_times": ["10"]}), 2, "sample_times must be a finite number"),
+        ("autonomous", {"blocks": [dict(_TWO_BLOCKS[0], rho="0.5")], "s": 1}, 2, "rho must be a finite number"),
+        ("autonomous", {"resonant": dict(_RESONANT, omega1=True)}, 2, "omega1 must be a finite number"),
+        ("sweep", dict(_SWEEP, rho1="0.5"), 2, "rho1 must be a finite number"),
+        ("discrete", dict(_PLANAR, search=[]), 2, "search must be a JSON object"),
+        ("discrete", dict(_PLANAR, horizon=10**400), 2, "is not a finite number"),
     ],
 )
 def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, command, cfg, code, message):
@@ -602,3 +625,71 @@ def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, comma
     assert main([command, "--config", path]) == code
     captured = capsys.readouterr()
     assert message in captured.err and "value =" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_rank_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
+    # a negative or nan tolerance passed a rank-1 V as a plane; inf refused every V
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    save_matrix(a, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+    save_matrix(b, np.eye(3, 2))
+    assert main(["angles", str(a), str(b), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "rank tolerance must be finite and >= 0" in captured.err and captured.out == ""
+
+
+# Small valid configs whose every key, at every nesting level, the property
+# below replaces; together they hold the documented keys of discrete,
+# continuous and oracle.
+_FUZZ_SEARCH = {
+    "candidates": 1, "refine_rounds": 0, "refine_scale": 0.3, "sample_count": 4,
+    "sample_times": [4, 8], "tail_fraction": 0.5, "cost_cap": 1e6,
+}
+_FUZZ_BASES = [
+    ("discrete", dict(_PLANAR, s=1, variant="sup-limsup", horizon=8, search=_FUZZ_SEARCH)),
+    ("discrete", {"system": {"kind": "constant", "matrix": [[0.0, 1.0], [1.0, 0.0]]}, "horizon": 8}),
+    ("discrete", {"system": {"kind": "cycle", "matrices": [[[2.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]]]},
+                  "horizon": 8}),
+    ("continuous", dict(_MODEL2D, s=1, variant="sup-liminf", horizon=1.0,
+                        search=dict(_FUZZ_SEARCH, sample_times=[0.5, 1.0]))),
+    ("continuous", {"system": {"kind": "constant", "matrix": [[0.0, -1.0], [1.0, 0.0]]}, "horizon": 1.0, "step": 0.1}),
+    ("oracle", {"kind": "maxmin", "v": "v.csv", "w": "w.csv", "samples": 100}),
+    ("oracle", dict(_BIRKHOFF, time="discrete", v0="v.csv", horizon=8)),
+    ("oracle", dict(_BIRKHOFF, time="continuous", system=_MODEL2D["system"], horizon=1.0, step=0.1)),
+    ("oracle", {"kind": "fd_derivative", "w": "v.csv", "wdot": "w.csv", "h": 1e-6}),
+]
+_FUZZ_POOL = [0, -1, 1e300, 1e-300, True, "1", [], {}, None, 1, 2]
+
+
+def _key_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_FUZZ_CASES = [(command, base, path) for command, base in _FUZZ_BASES for path in _key_paths(base)]
+
+
+@settings(max_examples=600, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FUZZ_CASES), st.sampled_from(_FUZZ_POOL))
+@example(("oracle", _FUZZ_BASES[5][1], ("v",)), 2)  # maxmin
+@example(("oracle", _FUZZ_BASES[5][1], ("v",)), 0)
+@example(("oracle", _FUZZ_BASES[8][1], ("w",)), 1)  # fd_derivative
+def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, case, value):
+    # one documented key replaced by a value of the wrong type, sign or size:
+    # main reports it by an exit code, raises nothing, warns nothing and
+    # leaves stdout and stderr open
+    command, base, path = case
+    cfg = json.loads(json.dumps(base))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    monkeypatch.chdir(tmp_path)
+    save_matrix(tmp_path / "v.csv", np.array([[1.0], [0.0]]))
+    save_matrix(tmp_path / "w.csv", np.array([[math.cos(0.3)], [math.sin(0.3)]]))
+    assert main([command, "--config", write_config(tmp_path, "fuzz.json", cfg)]) in (0, 2, 3, 4)
+    os.fstat(1)
+    os.fstat(2)

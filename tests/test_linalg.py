@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from angval.discrete import DiscreteSystem, angle_sum
 from angval.errors import InvalidBlock, NoConvergence, RankDeficient
+from angval.grassmann import Subspace
 from angval.linalg import (
     ComplexBlock,
     RealBlock,
@@ -45,6 +47,10 @@ def test_qr_thin_rejects_wide_and_non_finite():
         qr_thin(np.ones((2, 3)))
     with pytest.raises(ValueError):
         qr_thin(np.array([[np.nan], [1.0]]))
+    # a negative or nan tolerance would pass rank-1 input, and inf refuse every input
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rank tolerance"):
+            qr_thin(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), tol=tol)
 
 
 def test_svd_diagonal_exact():
@@ -117,6 +123,10 @@ def test_svd_lapack_failure_is_no_convergence(monkeypatch):
         svd(np.eye(3))
     with pytest.raises(NoConvergence):
         spectral_norm(np.eye(3))
+    # the condition test of the block path's products
+    cycle = DiscreteSystem.from_sequence([np.diag([2.0, 1.0]), rotation(0.3)], cycle=True)
+    with pytest.raises(NoConvergence):
+        angle_sum(cycle, Subspace(np.eye(2)[:, :1]), 1, 40)
 
 
 def test_spectral_norm_values():
