@@ -2,7 +2,8 @@
 block column echelon structure, limiting subspaces, admissible index sets,
 the torus mean of the max of ellipse speeds (Gauss-Legendre on the 1-D
 integral of their closed-form distributions, for every index set), and the
-resonant one-parameter family for two 2x2 blocks."""
+resonant one-parameter family for two 2x2 blocks (exact, from the crossings
+of the two speeds)."""
 
 from __future__ import annotations
 
@@ -270,27 +271,22 @@ def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
     return GateVerdict(independent=not witnesses, witnesses=tuple(witnesses))
 
 
-# Upper limits on the resonant grid sizes, 90x to 500x the defaults: the
-# inner integral, the outer grid, and the table of q rows by tau_panels
-MAX_PANELS = 2**20
+# Upper limits on the resonant work: the outer grid, and max(p, q) times it
+# (each t takes a crossing grid of 8 max(p, q) cells)
 MAX_T_POINTS = 2**16
-MAX_RESONANT_TABLE = 2**23
+MAX_RESONANT_WORK = 2**20
 
 
 @dataclass(frozen=True)
 class QuadConfig:
-    tau_panels: int = 2880  # resonant inner integral
     t_points: int = 720  # resonant outer grid on [0, 2pi)
 
     def __post_init__(self):
-        sizes = (self.tau_panels, self.t_points)
-        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
-            raise ValueError("quad sizes must be integers, got %r" % (sizes,))
-        # the Richardson estimate halves tau_panels
-        if not (2 <= self.tau_panels <= MAX_PANELS and 1 <= self.t_points <= MAX_T_POINTS):
-            raise ValueError(
-                "quad needs 2 <= tau_panels <= %d and 1 <= t_points <= %d" % (MAX_PANELS, MAX_T_POINTS)
-            )
+        n = self.t_points
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("t_points must be an integer, got %r" % (n,))
+        if not 1 <= n <= MAX_T_POINTS:
+            raise ValueError("quad needs 1 <= t_points <= %d" % MAX_T_POINTS)
 
 
 @dataclass(frozen=True)
@@ -399,78 +395,314 @@ def angular_value_irrational(s, spec, override_gate=False):
     )
 
 
-def _resonant_l_values(omega1, p, q, rho1, rho2, ts, m):
-    # L(t) = (1/(2 pi q)) \int_0^{2pi} sum_j max(E1(t+tau), E2(kappa(tau+2pi(j-1)))) dtau,
-    # evaluated by the midpoint rule with m panels per 2 pi; the (2 pi q)^{-1}
-    # folds into the mean.  The integrand has period pi q in the orbit time (E1
-    # has period pi, E2(kappa .) period pi q/p), so for even m the m/2 midpoints
-    # of [0, pi) in rows offset by pi j give the same mean at half the columns
-    kappa = p / q
-    omega2 = omega1 * kappa
-    h = TWO_PI / m
-    n = m // 2 if m % 2 == 0 else m
-    tau = (np.arange(n) + 0.5) * h
-    arg2 = kappa * (tau[None, :] + (n * h) * np.arange(q)[:, None])
-    e2 = _espeed(arg2, omega2, rho2)
-    c0, s0 = np.cos(tau), np.sin(tau)
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        # E1(t + tau) through the angle-addition formulas: no trig per t
-        c = math.cos(t) * c0 - math.sin(t) * s0
-        s = math.sin(t) * c0 + math.cos(t) * s0
-        e1 = rho1 * omega1 / (c * c + rho1 * rho1 * s * s)
-        out[i] = np.maximum(e1[None, :], e2).mean()
-    return out
+# The crossing grid: base cells per unit of max(p, q), the split of a cell
+# that neither Taylor test certifies, the split depth, and how many cells
+# (rows of t times cells of sigma) are held at once
+_CELLS_PER_DEGREE = 8
+_SPLIT = 8
+_MAX_DEPTH = 12
+_CHUNK = 2**15
+_MAX_POLISH = 60
+_MAX_SECANT = 40
+_EPS = float(np.finfo(float).eps)
+
+
+class _ResonantLine:
+    """The exact resonant line L(t), its slope L'(t) and an error bound, from
+    the crossings of the two speeds along one orbit period.
+
+    L(t) = omega2 + (1/(pi q)) int_0^{pi q} (E1(t + tau) - E2(kappa tau))^+ dtau.
+    With tau = q sigma, sigma in [0, pi), the sign of E1 - E2 is that of
+    P(sigma) = alpha + beta cos 2p sigma - gamma cos(2t + 2q sigma), since
+    E1 - E2 = P / (D1 D2) for the speed denominators D_j = cos^2 + rho_j^2 sin^2
+    in [rho_j^2, 1].  Between crossings E1 - E2 has the antiderivative
+    H(tau) = G1(t + tau) - G2(kappa tau)/kappa with G(theta) = omega (theta +
+    atan2((rho - 1) sin cos, cos^2 + rho sin^2)), so the integral is a signed
+    sum of H at the crossings, and L' the same sum of E1(t + tau).
+    """
+
+    def __init__(self, omega1, p, q, rho1, rho2):
+        if not (isinstance(p, (int, np.integer)) and isinstance(q, (int, np.integer))):
+            raise ValueError("p and q must be integers")
+        if p < 1 or q < 1:
+            raise ValueError("need p, q >= 1")
+        if math.gcd(int(p), int(q)) != 1:
+            raise NotCoprime("p/q = %d/%d is not in lowest terms" % (p, q))
+        if not (math.isfinite(omega1) and omega1 > 0.0):
+            raise ValueError("omega1 must be positive and finite, got %r" % (omega1,))
+        for r in (rho1, rho2):
+            if not 0.0 < r <= 1.0:
+                raise ValueError("rho must lie in (0, 1]")
+        self.p, self.q = p, q = int(p), int(q)
+        self.omega1, self.omega2 = omega1, omega1 * p / q
+        self.rho1, self.rho2 = rho1, rho2
+        a1, a2 = rho1 * omega1, rho2 * self.omega2
+        self.alpha = 0.5 * (a1 * (1.0 + rho2 * rho2) - a2 * (1.0 + rho1 * rho1))
+        self.beta = 0.5 * a1 * (1.0 - rho2 * rho2)
+        self.gamma = 0.5 * a2 * (1.0 - rho1 * rho1)
+        # rounding bounds of P and P' as evaluated here, argument rounding included
+        self.eps_p = 16.0 * _EPS * (a1 + a2 + TWO_PI * ((p + 1) * self.beta + (q + 2) * self.gamma))
+        self.eps_dp = 2.0 * max(p, q) * self.eps_p
+        # h sup|P| times this bounds the share of L from a sigma cell of width h
+        self.err_scale = 1.0 / (math.pi * (rho1 * rho2) ** 2)
+        self.n0 = _CELLS_PER_DEGREE * max(p, q)
+
+    def __call__(self, ts):
+        """(L, L', error) at each t, as a (3, len(ts)) array."""
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((3, len(ts)))
+        width = min(self.n0, _CHUNK // 2)  # base cells per block of sigma
+        rows = max(1, _CHUNK // (2 * width))
+        for r0 in range(0, len(ts), rows):
+            t = ts[r0 : r0 + rows]
+            acc = np.zeros((4, len(t)))  # sums of +-H and +-E1, error bounds, crossings
+            for k0 in range(0, self.n0, width):
+                self._block(t, k0, min(k0 + width, self.n0), acc)
+            # P(0) > 0: the orbit starts inside an arc where E1 > E2
+            start = np.where(self._taylor(1.0, 0.0, np.cos(2.0 * t), 0.0, 0)[0] > 0.0, self.omega1, self.omega2)
+            scale = 1.0 / (math.pi * self.q)
+            floor = 8.0 * _EPS * (acc[3] * (abs(self.omega1 - self.omega2) + self.omega1 / self.q)
+                                  + max(self.omega1, self.omega2))
+            out[:, r0 : r0 + rows] = start + scale * acc[0], scale * acc[1], acc[2] + floor
+        return out
+
+    def _taylor(self, cp, sp, u, v, order):
+        # P and its first `order` derivatives in sigma, from cp, sp = cos, sin
+        # 2p sigma and u, v = cos, sin(2t + 2q sigma)
+        out = [self.alpha + self.beta * cp - self.gamma * u]
+        for k in range(1, order + 1):
+            x, y = (cp, u) if k % 2 == 0 else (sp, v)
+            sign = 1.0 if k % 4 in (0, 3) else -1.0
+            out.append((sign * self.beta * (2 * self.p) ** k) * x - (sign * self.gamma * (2 * self.q) ** k) * y)
+        return out
+
+    def _sup(self, t2, k):
+        # sup |P^(k)| per t; for p = q the two cosines are one sinusoid
+        if self.p == self.q:
+            return (2.0 * self.p) ** k * np.hypot(self.beta - self.gamma * np.cos(t2), self.gamma * np.sin(t2))
+        return np.full(len(t2), (2.0 * self.p) ** k * self.beta + (2.0 * self.q) ** k * self.gamma)
+
+    def _trig(self, t2, sigma):
+        ap, aq = 2.0 * self.p * sigma, t2 + 2.0 * self.q * sigma
+        return np.cos(ap), np.sin(ap), np.cos(aq), np.sin(aq)
+
+    def _block(self, t, k0, k1, acc):
+        # base cells k0..k1-1 of width pi/n0 for every t, from one table of
+        # half-grid angles.  The angles are reduced mod 2 pi in integers, so
+        # the node at sigma = pi takes the values at 0, and a node shared by
+        # two blocks one value.  A cell whose end values share a sign, and
+        # exceed the most P can bend below its chord, has no root; the others
+        # go on to the tests at their midpoints.
+        n2, h, width = 2 * self.n0, math.pi / self.n0, k1 - k0
+        j = np.arange(2 * k0, 2 * k1 + 1)
+        ap, aq = self.p * j % n2 * (TWO_PI / n2), self.q * j % n2 * (TWO_PI / n2)
+        cp, sp, cq, sq = np.cos(ap), np.sin(ap), np.cos(aq), np.sin(aq)
+        c, s = np.cos(2.0 * t), np.sin(2.0 * t)
+        nodes = self._taylor(cp[::2], None, c[:, None] * cq[::2] - s[:, None] * sq[::2], None, 0)[0]
+        pl, pr = nodes[:, :-1], nodes[:, 1:]
+        bend = (self._sup(2.0 * t, 2) * (0.125 * h * h) + self.eps_p)[:, None]
+        rows, k = np.divmod(np.flatnonzero((pl * pr <= 0.0) | (np.minimum(np.abs(pl), np.abs(pr)) <= bend)), width)
+        left = rows * (width + 1) + k
+        m = 2 * k + 1
+        cells = (
+            rows,
+            (k0 + k) * h,
+            nodes.ravel()[left],
+            nodes.ravel()[left + 1],
+            cp[m],
+            sp[m],
+            c[rows] * cq[m] - s[rows] * sq[m],
+            s[rows] * cq[m] + c[rows] * sq[m],
+        )
+        self._isolate(2.0 * t, cells, h, acc)
+
+    def _isolate(self, t2, cells, h, acc):
+        # A cell has no root if |P(mid)| exceeds the Taylor bound of
+        # |P - P(mid)| on it, and at most one if |P'(mid)| exceeds that of
+        # |P' - P'(mid)| (third order, plus the rounding bounds).  Other cells
+        # split by _SPLIT, unless P is within rounding of 0 on them, or at the
+        # depth or size limit: those become leaves whose share of L counts in
+        # the error.  Every leaf whose end signs differ holds one crossing, so
+        # crossings alternate in sign.
+        m3, m4 = self._sup(t2, 3), self._sup(t2, 4)
+        found = []
+        for depth in range(_MAX_DEPTH + 1):
+            rows, a, pl, pr = cells[:4]
+            p0, p1, p2, p3 = self._taylor(*cells[4:], 3)
+            h2, h3 = 0.125 * h * h, h**3 / 48.0
+            slack = np.abs(p1) * (0.5 * h) + np.abs(p2) * h2 + m3[rows] * h3
+            certified = (np.abs(p0) > slack + self.eps_p) | (
+                np.abs(p1) > np.abs(p2) * (0.5 * h) + np.abs(p3) * h2 + m4[rows] * h3 + self.eps_dp
+            )
+            bound = np.abs(p0) + slack + self.eps_p  # sup |P| on the cell
+            split = ~certified & (bound > 5.0 * self.eps_p)
+            if depth == _MAX_DEPTH or np.count_nonzero(split) * _SPLIT > _CHUNK:
+                split[:] = False
+            unsure = ~certified & ~split
+            acc[2] += np.bincount(rows[unsure], h * bound[unsure], len(t2)) * self.err_scale
+            cross = ~split & ((pl > 0.0) != (pr > 0.0))
+            found.append([x[cross] for x in cells] + [np.full(np.count_nonzero(cross), h)])
+            if not split.any():
+                break
+            cells = self._split(t2, h, *(x[split] for x in cells[:4]))
+            h /= _SPLIT
+        self._cross(t2, *(np.concatenate(x) for x in zip(*found)), acc)
+
+    def _split(self, t2, h, rows, a, pl, pr):
+        # 2 _SPLIT - 1 new points at spacing h / (2 _SPLIT): the children's
+        # inner nodes (even) and their midpoints (odd); the parent's end
+        # nodes keep their values
+        sigma = a[:, None] + np.arange(1, 2 * _SPLIT) * (h / (2 * _SPLIT))
+        cp, sp, u, v = self._trig(t2[rows][:, None], sigma)
+        inner = self._taylor(cp[:, 1::2], None, u[:, 1::2], None, 0)[0]
+        nodes, m = np.concatenate([pl[:, None], inner, pr[:, None]], axis=1), slice(0, None, 2)
+        return (
+            np.repeat(rows, _SPLIT),
+            (a[:, None] + np.arange(_SPLIT) * (h / _SPLIT)).ravel(),
+            nodes[:, :-1].ravel(),
+            nodes[:, 1:].ravel(),
+            *(x[:, m].ravel() for x in (cp, sp, u, v)),
+        )
+
+    def _cross(self, t2, rows, a, pl, pr, cm, sm, um, vm, h, acc):
+        # Halley's iteration on P from the root of its quadratic Taylor model
+        # at the cell midpoint; a step that leaves the bracket (the cell,
+        # narrowed by the signs met) bisects it.  A root is done when the
+        # third-order remainder of the corrected H below is under rounding.
+        if not len(rows):
+            return
+        down = pl > 0.0  # E1 > E2 ends here: +H; else an arc starts: -H
+        p0, p1, p2 = self._taylor(cm, sm, um, vm, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (a + 0.5 * h) - p0 / (p1 - 0.5 * p2 * p0 / p1)
+        lo, hi = a, a + h
+        x = np.where((x >= lo) & (x <= hi), x, lo + h * (pl / (pl - pr)))
+        m1, m2 = self._sup(t2, 1)[rows], self._sup(t2, 2)[rows]
+        # |s|^3 times this bounds what the correction leaves, for a Newton step s
+        c3 = (m2 + m1 * (self.q / self.rho1**2 + self.p / self.rho2**2)) * self.err_scale
+        tol = _EPS * max(self.omega1, self.omega2)
+        at = np.empty((7, len(rows)))  # x, its angles, Newton step and error
+        act, tr = np.arange(len(rows)), t2[rows]
+        for it in range(_MAX_POLISH):
+            cp, sp, u, v = self._trig(tr, x)
+            p0, p1, p2 = self._taylor(cp, sp, u, v, 2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.where(p0 == 0.0, 0.0, p0 / p1)
+                err = np.abs(s) ** 3 * c3
+            done = err <= tol
+            if it == _MAX_POLISH - 1:
+                # no correction; the root is somewhere in the bracket
+                width = hi - lo
+                bracket = width * (np.abs(p0) + m1 * width + self.eps_p) * self.err_scale
+                s, err = np.where(done, s, 0.0), np.where(done, err, bracket)
+                done = np.ones_like(done)
+            if np.any(done):
+                at[:, act[done]] = x[done], cp[done], sp[done], u[done], v[done], s[done], err[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                act, tr, x, lo, hi, down, c3, m1 = (y[keep] for y in (act, tr, x, lo, hi, down, c3, m1))
+                p0, p1, p2, s = p0[keep], p1[keep], p2[keep], s[keep]
+            same = (p0 > 0.0) == down
+            lo, hi = np.where(same, x, lo), np.where(same, hi, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nx = x - p0 / (p1 - 0.5 * p2 * s)
+            x = np.where((nx > lo) & (nx < hi), nx, 0.5 * (lo + hi))
+        x, cp, sp, u, v, s, err = at
+        p0 = self._taylor(cp, sp, u, v, 0)[0]
+        r1, r2 = self.rho1, self.rho2
+        d1 = 0.5 * (1.0 + r1 * r1) + 0.5 * (1.0 - r1 * r1) * u
+        d2 = 0.5 * (1.0 + r2 * r2) + 0.5 * (1.0 - r2 * r2) * cp
+        a1 = np.arctan2((r1 - 1.0) * v, (1.0 + r1) + (1.0 - r1) * u)
+        a2 = np.arctan2((r2 - 1.0) * sp, (1.0 + r2) + (1.0 - r2) * cp)
+        # H without omega1 t, which cancels between the alternating signs, and
+        # corrected to second order in the distance s to the root:
+        # H(root) = H(x) - q P s / (2 D1 D2); E1 to first order
+        h_at = (self.omega1 - self.omega2) * self.q * x + self.omega1 * (a1 - a2) - self.q * p0 * s / (2.0 * d1 * d2)
+        e1_at = r1 * self.omega1 / d1 * (1.0 - s * self.q * (1.0 - r1 * r1) * v / d1)
+        sign = np.where(pl > 0.0, 1.0, -1.0)
+        nt = acc.shape[1]
+        acc[0] += np.bincount(rows, sign * h_at, nt)
+        acc[1] += np.bincount(rows, sign * e1_at, nt)
+        acc[2] += np.bincount(rows, err, nt)
+        acc[3] += np.bincount(rows, None, nt)
+
+
+def resonant_line(omega1, p, q, rho1, rho2, t):
+    """The exact resonant line L at the times t (an array)."""
+    return _ResonantLine(omega1, p, q, rho1, rho2)(np.atleast_1d(t))[0]
+
+
+def _maximize(line, ts, ls, slopes, errs, k0):
+    # safeguarded secant (Illinois) on L' in the grid cell on the side of the
+    # coarse maximizer k0 toward which L rises: (value, t, error) of the best
+    # point evaluated, k0 included
+    nt, dt = len(ts), TWO_PI / len(ts)
+    best = (ls[k0], ts[k0], errs[k0])
+    if slopes[k0] >= 0.0:
+        a, fa, b, fb = ts[k0], slopes[k0], ts[k0] + dt, slopes[(k0 + 1) % nt]
+    else:
+        a, fa, b, fb = ts[k0] - dt, slopes[k0 - 1], ts[k0], slopes[k0]
+
+    def small(f):
+        # what is left to gain from a point of slope f, about f^2 / 2|L''|, is below rounding
+        return f * f * (b - a) <= 8.0 * _EPS * best[0] * (fa - fb)
+
+    if not fa > 0.0 > fb or small(min(fa, -fb)):
+        return best
+    side = 0
+    for _ in range(_MAX_SECANT):
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        tx = x % TWO_PI if x % TWO_PI < TWO_PI else 0.0
+        lx, fx, ex = line([tx])[:, 0]
+        if lx > best[0]:
+            best = (lx, tx, ex)
+        if small(fx):
+            break
+        if fx > 0.0:
+            a, fa = x, fx
+            fb *= 0.5 if side > 0 else 1.0
+            side = 1
+        else:
+            b, fb = x, fx
+            fa *= 0.5 if side < 0 else 1.0
+            side = -1
+    return best
 
 
 def angular_value_resonant_4d(omega1, p, q, rho1, rho2, quad=None):
     """Angular value for two 2x2 blocks with frequency ratio kappa = p/q:
-    sup over t in [0, 2pi] of the q-term max-quadrature L(t).
+    sup over t in [0, 2pi] of the line L(t), the orbit mean of
+    max(E1(t + tau), E2(kappa tau)).
 
-    Returns the sup (after a x4 local refinement around the first coarse
-    grid maximizer) together with the sampled line L on the coarse grid.
+    L is exact at every t (from the crossings of the two speeds).  It is
+    sampled on the t_points grid, and the sup is located by a safeguarded
+    secant on L' next to the first grid maximizer.  `error` bounds the
+    error of L at t_argmax.
     """
     quad = quad or QuadConfig()
-    if not (isinstance(p, (int, np.integer)) and isinstance(q, (int, np.integer))):
-        raise ValueError("p and q must be integers")
-    if p < 1 or q < 1:
-        raise ValueError("need p, q >= 1")
-    if math.gcd(int(p), int(q)) != 1:
-        raise NotCoprime("p/q = %d/%d is not in lowest terms" % (p, q))
-    if not (math.isfinite(omega1) and omega1 > 0.0):
-        raise ValueError("omega1 must be positive and finite, got %r" % (omega1,))
-    for r in (rho1, rho2):
-        if not 0.0 < r <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
-    p, q = int(p), int(q)
-    if q * quad.tau_panels > MAX_RESONANT_TABLE:
-        raise ValueError(
-            "q * tau_panels = %d * %d exceeds %d" % (q, quad.tau_panels, MAX_RESONANT_TABLE)
-        )
+    line = _ResonantLine(omega1, p, q, rho1, rho2)
     nt = quad.t_points
-    m = quad.tau_panels
+    if max(line.p, line.q) * nt > MAX_RESONANT_WORK:
+        raise ValueError(
+            "max(p, q) * t_points = %d * %d exceeds %d" % (max(line.p, line.q), nt, MAX_RESONANT_WORK)
+        )
     ts = np.arange(nt) * (TWO_PI / nt)
     # L(t + pi) = L(t) (for even nt) and L(2pi - t) = L(t): evaluate the first
     # point of each grid orbit of these maps and fill the line by indexing, so
-    # argmax returns the first grid maximizer
+    # argmax returns the first grid maximizer; L' flips sign under reflection
     half = nt // 2 if nt % 2 == 0 else nt
     k = np.arange(nt)
-    reps = _resonant_l_values(omega1, p, q, rho1, rho2, ts[: half // 2 + 1], m)
-    ls = reps[np.minimum(k % half, -k % half)]
-    k0 = int(np.argmax(ls))
-    # x4 refinement around the coarse argmax
-    fine = ts[k0] + (TWO_PI / nt) * (np.arange(-3, 4) / 4.0)
-    fine = np.mod(fine, TWO_PI)
-    fls = _resonant_l_values(omega1, p, q, rho1, rho2, fine, m)
-    if fls.max() >= ls[k0]:
-        t_star, v_star = float(fine[np.argmax(fls)]), float(fls.max())
-    else:
-        t_star, v_star = float(ts[k0]), float(ls[k0])
-    v_half = _resonant_l_values(omega1, p, q, rho1, rho2, np.array([t_star]), m // 2)[0]
+    fwd, back = k % half, -k % half
+    ls, slopes, errs = line(ts[: half // 2 + 1])[:, np.minimum(fwd, back)]
+    slopes = np.where(fwd <= back, slopes, -slopes)
+    value, t_star, error = _maximize(line, ts, ls, slopes, errs, int(np.argmax(ls)))
     return ResonantValue(
-        value=v_star,
-        t_argmax=t_star,
-        error=abs(v_star - v_half) / 3.0,
+        value=float(value),
+        t_argmax=float(t_star),
+        error=float(error),
         t_values=ts,
         l_values=ls,
     )

@@ -226,7 +226,7 @@ def build_search_config(cfg, seed):
 
 
 def build_quad_config(cfg):
-    return QuadConfig(**_settings(cfg, "quad", dict.fromkeys(("tau_panels", "t_points"), _integral)))
+    return QuadConfig(**_settings(cfg, "quad", {"t_points": _integral}))
 
 
 def _subspace_pair(args, v, w):
@@ -340,8 +340,8 @@ def cmd_sweep(args):
     cells = hairy_sweep(
         _number("omega1", cfg["omega1"]),
         _number("rho1", cfg["rho1"]),
-        kappa_grid=cfg.get("kappa_grid"),
-        rho2_grid=cfg.get("rho2_grid"),
+        kappa_grid=_numbers("kappa_grid", cfg["kappa_grid"]) if "kappa_grid" in cfg else None,
+        rho2_grid=_numbers("rho2_grid", cfg["rho2_grid"]) if "rho2_grid" in cfg else None,
         qmax=_integral("qmax", cfg.get("qmax", 20)),
         quad=build_quad_config(cfg),
         threads=args.threads,

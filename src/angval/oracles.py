@@ -3,7 +3,8 @@
 Everything here evaluates a definition as directly as possible: max-min
 angles by sampling unit vectors, angle sums by stepping with matrix
 exponentials and numpy's own SVD, Procrustes minima by scanning the
-orthogonal group.  None of it shares code with the fast paths; numerics
+orthogonal group, the resonant line by adaptive quadrature of each orbit
+term.  None of it shares code with the fast paths; numerics
 go through numpy/scipy directly on purpose.
 """
 
@@ -152,3 +153,44 @@ def birkhoff_average(system, v0, horizon, step=None):
                 q = nxt
         return total / (nsteps * step)
     raise TypeError("unsupported system type %r" % (type(system).__name__,))
+
+
+def _speed(theta, omega, rho):
+    c, s = np.cos(theta), np.sin(theta)
+    return rho * omega / (c * c + rho * rho * s * s)
+
+
+def resonant_line(t, omega1, p, q, rho1, rho2, grid=4096):
+    """L(t) = (1/(2 pi q)) sum_{j<q} int_0^{2 pi} max(E1(t + tau),
+    E2(kappa (tau + 2 pi j))) dtau for kappa = p/q, omega2 = kappa omega1 and
+    the ellipse speeds E(theta) = rho omega / (cos^2 theta + rho^2 sin^2 theta).
+
+    Each orbit term is split where the speeds cross (sign changes of their
+    difference on a grid of `grid` points, polished by brentq), so that every
+    adaptive quadrature integrates one smooth branch.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    kappa = p / q
+    omega2 = kappa * omega1
+    taus = np.linspace(0.0, 2.0 * math.pi, grid + 1)
+    total = 0.0
+    for j in range(q):
+        shift = 2.0 * math.pi * j
+
+        def diff(tau):
+            return _speed(t + tau, omega1, rho1) - _speed(kappa * (tau + shift), omega2, rho2)
+
+        def top(tau):
+            return max(_speed(t + tau, omega1, rho1), _speed(kappa * (tau + shift), omega2, rho2))
+
+        d = diff(taus)
+        cuts = [0.0]
+        for k in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0):
+            cuts.append(brentq(diff, taus[k], taus[k + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps))
+        cuts.append(2.0 * math.pi)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi > lo:
+                total += quad(top, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return total / (2.0 * math.pi * q)

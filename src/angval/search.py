@@ -19,6 +19,11 @@ import numpy as np
 from .errors import BudgetExceeded
 
 VARIANTS = ("sup-limsup", "sup-liminf", "limsup-sup", "liminf-sup")
+# Upper limits: the default sample grid holds sample_count floats, which
+# check_budget does not count, and under this cost cap every step count that
+# passes check_budget stays below 2^53, where its integer casts are exact
+MAX_SAMPLE_COUNT = 10**5
+MAX_COST_CAP = 1e15
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,10 @@ class SubspaceSearchConfig:
         for name, low in (("candidates", 1), ("refine_rounds", 0), ("sample_count", 1)):
             if getattr(self, name) < low:
                 raise ValueError("%s must be at least %d, got %r" % (name, low, getattr(self, name)))
+        if self.sample_count > MAX_SAMPLE_COUNT:
+            raise ValueError("sample_count must be at most %d, got %r" % (MAX_SAMPLE_COUNT, self.sample_count))
+        if not self.cost_cap <= MAX_COST_CAP:
+            raise ValueError("cost_cap must be at most %g, got %r" % (MAX_COST_CAP, self.cost_cap))
         # no entry of an orthonormal basis exceeds 1, so a larger step only swamps it
         if not 0.0 < self.refine_scale <= 1.0:
             raise ValueError("refine_scale must be positive and at most 1, got %r" % (self.refine_scale,))

@@ -179,8 +179,8 @@ class SweepCell:
 
     Rational cells take their value as the sup of the vertical line L(t),
     attained at t_argmax; irrational cells hold the torus mean.
-    err_estimate is the per-cell quadrature diagnostic and seconds the
-    wall time the cell took.
+    err_estimate bounds the error of the value (of L at t_argmax for
+    rational cells) and seconds is the wall time the cell took.
     """
 
     kappa: float

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from angval import autonomous, oracles
 from angval.autonomous import (
     QuadConfig,
     SchurSpec,
@@ -19,6 +20,7 @@ from angval.autonomous import (
     integral_for_set,
     rational_approximation,
     rational_independence_gate,
+    resonant_line,
     symmetry_check,
     w_infinity,
 )
@@ -370,14 +372,14 @@ def test_torus_rule_matches_1d_reference(size):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"tau_panels": 0},
-        {"tau_panels": -4},
-        {"tau_panels": 1},
         {"t_points": 0},
-        {"tau_panels": 2**20 + 1},
-        {"tau_panels": 10**9},
+        {"t_points": -4},
+        {"t_points": 720.5},
+        {"t_points": "720"},
+        {"t_points": None},
+        {"t_points": 10**9},
         {"t_points": 2**16 + 1},
-        {"tau_panels": 2880.5},
+        {"t_points": 2.0},
         {"t_points": True},
     ],
 )
@@ -452,9 +454,9 @@ def test_resonant_rejects_non_finite_omega1(omega1):
 
 
 def test_resonant_rejects_oversized_table():
-    # 20 * 2**19 is above the 2**23 table bound: refused before allocating
-    with pytest.raises(ValueError, match="tau_panels"):
-        angular_value_resonant_4d(1.0, 1, 20, 0.5, 0.5, QuadConfig(tau_panels=2**19))
+    # 20 * 2**16 is above the 2**20 bound on max(p, q) * t_points: refused before any work
+    with pytest.raises(ValueError, match="exceeds"):
+        angular_value_resonant_4d(1.0, 1, 20, 0.5, 0.5, QuadConfig(t_points=2**16))
 
 
 def test_resonant_grid_shape_and_argmax_location():
@@ -464,53 +466,49 @@ def test_resonant_grid_shape_and_argmax_location():
     assert res.value >= res.l_values.max()
 
 
-def _full_resonant_line(omega1, p, q, rho1, rho2, ts, m):
-    # every t, and the m midpoints of [0, 2 pi) in q rows offset by 2 pi j
-    kappa = p / q
-    tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
-    e2 = ellipse_speed(
-        kappa * (tau[None, :] + 2 * math.pi * np.arange(q)[:, None]),
-        ComplexBlock(0.0, omega1 * kappa, rho2),
-    )
-    blk1 = ComplexBlock(0.0, omega1, rho1)
-    return np.array([np.maximum(ellipse_speed(t + tau, blk1)[None, :], e2).mean() for t in ts])
-
-
-def _full_resonant_value(omega1, p, q, rho1, rho2, nt, m):
-    ts = np.arange(nt) * (2 * math.pi / nt)
-    line = _full_resonant_line(omega1, p, q, rho1, rho2, ts, m)
-    k0 = int(np.argmax(line))
-    fine = np.mod(ts[k0] + (2 * math.pi / nt) * (np.arange(-3, 4) / 4.0), 2 * math.pi)
-    return max(line[k0], _full_resonant_line(omega1, p, q, rho1, rho2, fine, m).max()), line
-
-
 _rho = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
 
 
 @settings(max_examples=200)
-@given(
-    st.integers(1, 40),
-    st.integers(1, 20),
-    _rho,
-    _rho,
-    st.integers(1, 64),
-    st.integers(2, 400),
-)
-@example(7, 20, 0.05, 0.05, 64, 400)
-@example(3, 7, 1 / 3, 1.0, 60, 240)
-@example(1, 1, 0.5, 0.5, 1, 3)
-@example(2, 3, 0.2, 0.7, 6, 2)
-def test_resonant_line_matches_full_grid(p, q, rho1, rho2, nt, m):
-    # the reduced rule (one orbit period in tau, one symmetry quarter in t)
-    # against the whole 2 pi q orbit evaluated at every grid t
+@given(st.integers(1, 40), st.integers(1, 20), _rho, _rho, st.integers(1, 64))
+@example(7, 20, 0.05, 0.05, 64)
+@example(3, 7, 1 / 3, 1.0, 60)
+@example(1, 1, 0.5, 0.5, 1)
+@example(1, 1, 1.0, 1.0, 12)
+@example(2, 3, 0.2, 0.7, 6)
+def test_resonant_line_matches_full_grid(p, q, rho1, rho2, nt):
+    # the symmetry fill (one grid point per orbit of t -> t + pi, t -> 2 pi - t)
+    # against the exact line evaluated at every grid t
     g = math.gcd(p, q)
     p, q = p // g, q // g
-    res = angular_value_resonant_4d(1.0, p, q, rho1, rho2, QuadConfig(tau_panels=m, t_points=nt))
-    want, line = _full_resonant_value(1.0, p, q, rho1, rho2, nt, m)
-    # relative: L grows with omega2 = p/q, and E2 with p/q up to 40 amplifies
-    # the rounding of its arguments into the last digits of the mean
-    assert np.max(np.abs(res.l_values - line)) <= 1e-13 * want
-    assert abs(res.value - want) <= 1e-13 * want
+    res = angular_value_resonant_4d(1.0, p, q, rho1, rho2, QuadConfig(t_points=nt))
+    line = resonant_line(1.0, p, q, rho1, rho2, res.t_values)
+    # relative: L grows with omega2 = p/q
+    assert np.max(np.abs(res.l_values - line)) <= 1e-13 * line.max()
+    assert res.value >= res.l_values.max()
+
+
+def test_resonant_line_is_the_same_in_small_chunks(monkeypatch):
+    # one t and 128 of the 160 base cells at a time: nodes shared by two
+    # blocks of sigma get one value, so the crossings are the same
+    ts = np.linspace(0.0, 2 * math.pi, 7)
+    want = resonant_line(1.0, 13, 20, 1 / 3, 0.25, ts)
+    monkeypatch.setattr(autonomous, "_CHUNK", 256)
+    assert np.max(np.abs(resonant_line(1.0, 13, 20, 1 / 3, 0.25, ts) - want)) <= 1e-14
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20), _rho, _rho, st.floats(0.0, 2 * math.pi, exclude_max=True))
+@example(1, 3, 1 / 3, 1.0, 0.0)  # P = gamma (1 - cos): double zeros at every t
+@example(3, 7, 1 / 3, 1.0, 7 * math.pi / 6)  # crossings on grid nodes
+@example(1, 1, 1.0, 1.0, 0.5)  # P = 0 everywhere: E1 = E2
+@example(5, 6, 1 / 3, 0.1, 1.0)  # the largest move from the midpoint table
+def test_resonant_line_matches_the_oracle(p, q, rho1, rho2, t):
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    assert abs(resonant_line(1.0, p, q, rho1, rho2, [t])[0] - oracles.resonant_line(t, 1.0, p, q, rho1, rho2)) <= 1e-12
+    res = angular_value_resonant_4d(1.0, p, q, rho1, rho2)
+    assert res.error >= abs(res.value - oracles.resonant_line(res.t_argmax, 1.0, p, q, rho1, rho2))
 
 
 # ---------------------------------------------------------------- symmetry

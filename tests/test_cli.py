@@ -241,7 +241,7 @@ def test_autonomous_resonant_emits_line(tmp_path, capsys):
         "r.json",
         {
             "resonant": {"omega1": 1.0, "p": 1, "q": 2, "rho1": 1.0 / 3.0, "rho2": 0.25},
-            "quad": {"t_points": 90, "tau_panels": 720},
+            "quad": {"t_points": 90},
         },
     )
     out = tmp_path / "line.csv"
@@ -276,7 +276,7 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
             "rho1": 1.0 / 3.0,
             "kappa_grid": [0.5, 0.505],
             "rho2_grid": [0.25],
-            "quad": {"t_points": 180, "tau_panels": 720},
+            "quad": {"t_points": 180},
         },
     )
     out1 = tmp_path / "s1.csv"
@@ -422,10 +422,10 @@ _BIRKHOFF = {
     "command,cfg",
     [
         ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"t_points": 0}}),
-        ("sweep", dict(_SWEEP, quad={"tau_panels": 1})),
-        ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": 1, "t_points": 0}}),
-        ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": -4}}),
-        ("autonomous", {"resonant": _RESONANT, "quad": {"tau_panels": 1000000000}}),
+        ("sweep", dict(_SWEEP, quad={"t_points": -4})),
+        ("autonomous", {"resonant": _RESONANT, "quad": {"t_points": 0}}),
+        ("autonomous", {"resonant": _RESONANT, "quad": {"t_points": -4}}),
+        ("autonomous", {"resonant": _RESONANT, "quad": {"t_points": 1000000000}}),
         ("sweep", dict(_SWEEP, quad={"t_points": 10**6})),
     ],
 )
@@ -439,9 +439,9 @@ def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
 @pytest.mark.parametrize(
     "command,cfg,message",
     [
-        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"tau_panels": 2880.5}}, "tau_panels"),
+        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"t_points": 720.5}}, "t_points"),
         ("autonomous", {"resonant": _RESONANT, "quad": {"t_points": "720"}}, "t_points"),
-        ("sweep", dict(_SWEEP, quad={"tau_panels": True}), "tau_panels"),
+        ("sweep", dict(_SWEEP, quad={"t_points": True}), "t_points"),
         ("sweep", dict(_SWEEP, qmax=20.5), "qmax"),
         ("autonomous", {"resonant": dict(_RESONANT, q=2.5)}, "q must"),
         ("autonomous", {"blocks": _TWO_BLOCKS, "s": 1.5}, "s must"),
@@ -467,7 +467,7 @@ def test_non_integral_sizes_are_exit_2(tmp_path, capsys, command, cfg, message):
     "command,cfg,message",
     [
         ("sweep", dict(_SWEEP, qmax=10**6), "qmax must lie"),
-        ("autonomous", {"resonant": dict(_RESONANT, p=1, q=20), "quad": {"tau_panels": 2**19}},
+        ("autonomous", {"resonant": dict(_RESONANT, p=1, q=20), "quad": {"t_points": 2**16}},
          "exceeds"),
     ],
 )
@@ -504,7 +504,7 @@ def test_oracle_sizes_are_refused_before_work(tmp_path, capsys, monkeypatch, cfg
     assert message in captured.err and "value =" not in captured.out
 
 
-@pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed", "panels"])
+@pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed", "panels", "tau_panels"])
 def test_removed_quad_keys_are_exit_2(tmp_path, capsys, key):
     path = write_config(tmp_path, "q.json", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {key: 8}})
     assert main(["autonomous", "--config", path]) == 2
@@ -618,6 +618,13 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         ("sweep", dict(_SWEEP, rho1="0.5"), 2, "rho1 must be a finite number"),
         ("discrete", dict(_PLANAR, search=[]), 2, "search must be a JSON object"),
         ("discrete", dict(_PLANAR, horizon=10**400), 2, "is not a finite number"),
+        # sweep grids are read by the same number reader: float() would take "0.7" and true
+        ("sweep", dict(_SWEEP, kappa_grid=["0.7"], rho2_grid=[True]), 2, "kappa_grid must be a finite number"),
+        ("sweep", dict(_SWEEP, rho2_grid=[0.5, None]), 2, "rho2_grid must be a finite number"),
+        # np.geomspace would allocate 7.45 GiB of sample times
+        ("discrete", dict(_PLANAR, horizon=100, search={"sample_count": 1e9}), 2, "sample_count must be at most"),
+        # a cost cap this large would pass a horizon whose sample times overflow their integer cast
+        ("discrete", dict(_PLANAR, horizon=1e19, search={"cost_cap": 1e300}), 2, "cost_cap must be at most"),
     ],
 )
 def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, command, cfg, code, message):

@@ -6,8 +6,9 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from angval.autonomous import SchurSpec, angular_value_irrational, resonant_line
 from angval.discrete import DiscreteSystem, estimate_angular_value
-from angval.linalg import rotation
+from angval.linalg import ComplexBlock, rotation
 from angval.search import SubspaceSearchConfig
 from angval.semicontinuity import (
     RationalTag,
@@ -238,6 +239,28 @@ def test_sweep_headline_cell():
     assert len(cells) == 1
     assert abs(cells[0].value - 1.2693394) < 1e-5
     assert cells[0].t_argmax is None
+
+
+def test_round_second_block_row_is_the_torus_mean():
+    # rho2 = 1 makes E2 the constant omega2, so L(t) is flat and every
+    # rational cell is the torus mean of max(E1, omega2)
+    cells = hairy_sweep(1.0, 1.0 / 3.0, rho2_grid=[1.0])
+    rational = [c for c in cells if c.tag.rational]
+    assert len(rational) == 128
+    for c in rational:
+        spec = SchurSpec((ComplexBlock(0.0, 1.0, 1.0 / 3.0), ComplexBlock(-1.0, c.kappa, 1.0)))
+        torus = angular_value_irrational(2, spec, override_gate=True)
+        assert abs(c.value - torus.value) <= c.err_estimate + torus.error
+
+
+@pytest.mark.parametrize("rho2", [0.1, 0.25, 0.5])
+def test_rational_cells_reach_the_top_of_their_full_line(rho2):
+    # the maximizer lies in the basin of the global maximum: no cell ends
+    # below the exact line at any of the 720 grid points
+    ts = np.arange(720) * (TWO_PI / 720)
+    for c in hairy_sweep(1.0, 1.0 / 3.0, rho2_grid=[rho2]):
+        if c.tag.rational:
+            assert c.value >= resonant_line(1.0, c.tag.p, c.tag.q, 1.0 / 3.0, rho2, ts).max() - 1e-12
 
 
 def test_sweep_usc_spot_check():
