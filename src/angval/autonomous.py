@@ -271,22 +271,26 @@ def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
     return GateVerdict(independent=not witnesses, witnesses=tuple(witnesses))
 
 
-# Upper limits on the resonant work: the outer grid, and max(p, q) times it
-# (each t takes a crossing grid of 8 max(p, q) cells)
-MAX_T_POINTS = 2**16
-MAX_RESONANT_WORK = 2**20
+# The resonant line is sampled at T_POINTS equally spaced t in [0, 2 pi);
+# each t takes a crossing grid of 8 max(p, q) cells, so max(p, q) is bounded
+# to keep that work within 2^20 cells
+T_POINTS = 720
+MAX_ORDER = 2**20 // T_POINTS
+# What the torus and resonant rules carry: below MIN_RHO the speed band
+# [rho omega, omega/rho] is too wide for the 64-node torus rule, whose error
+# then understates; above MAX_SPEED the squares of speeds and slopes overflow
+MIN_RHO = 1e-2
+MAX_SPEED = 1e100
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    t_points: int = 720  # resonant outer grid on [0, 2pi)
-
-    def __post_init__(self):
-        n = self.t_points
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError("t_points must be an integer, got %r" % (n,))
-        if not 1 <= n <= MAX_T_POINTS:
-            raise ValueError("quad needs 1 <= t_points <= %d" % MAX_T_POINTS)
+def _check_speeds(params):
+    for w, r in params:
+        if not r >= MIN_RHO:
+            raise InvalidBlock("rho = %r is below the floor %g of the torus and resonant rules" % (r, MIN_RHO))
+        if not w / r <= MAX_SPEED:
+            raise InvalidBlock(
+                "omega/rho = %g exceeds the bound %g of the torus and resonant rules" % (w / r, MAX_SPEED)
+            )
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,8 @@ def integral_for_set(spec, index_set):
     (2/pi) asin sqrt((1 - rho_j omega_j/x) / (1 - rho_j^2)) (a unit step at
     omega_j when rho_j = 1), by 64-node Gauss-Legendre between band ends.
     `error` is |G64 - G32| plus a rounding floor of 64 eps hi.  |J| = 0 and
-    |J| = 1 are exact (0 and omega) with error 0.
+    |J| = 1 are exact (0 and omega) with error 0; for |J| >= 2 every rho_j
+    must be at least MIN_RHO and every omega_j/rho_j at most MAX_SPEED.
     """
     j = tuple(index_set)
     if len(j) == 0:
@@ -368,6 +373,7 @@ def integral_for_set(spec, index_set):
     if len(j) == 1:
         # single-frequency mean is omega exactly
         return SetValue(j, params[0][0], 0.0)
+    _check_speeds(params)
     return SetValue(j, *_max_mean(params))
 
 
@@ -426,6 +432,8 @@ class _ResonantLine:
             raise ValueError("p and q must be integers")
         if p < 1 or q < 1:
             raise ValueError("need p, q >= 1")
+        if max(p, q) > MAX_ORDER:
+            raise ValueError("max(p, q) = %d exceeds %d" % (max(p, q), MAX_ORDER))
         if math.gcd(int(p), int(q)) != 1:
             raise NotCoprime("p/q = %d/%d is not in lowest terms" % (p, q))
         if not (math.isfinite(omega1) and omega1 > 0.0):
@@ -435,6 +443,7 @@ class _ResonantLine:
                 raise ValueError("rho must lie in (0, 1]")
         self.p, self.q = p, q = int(p), int(q)
         self.omega1, self.omega2 = omega1, omega1 * p / q
+        _check_speeds(((omega1, rho1), (self.omega2, rho2)))
         self.rho1, self.rho2 = rho1, rho2
         a1, a2 = rho1 * omega1, rho2 * self.omega2
         self.alpha = 0.5 * (a1 * (1.0 + rho2 * rho2) - a2 * (1.0 + rho1 * rho1))
@@ -445,19 +454,23 @@ class _ResonantLine:
         self.eps_dp = 2.0 * max(p, q) * self.eps_p
         # h sup|P| times this bounds the share of L from a sigma cell of width h
         self.err_scale = 1.0 / (math.pi * (rho1 * rho2) ** 2)
+        # cos, sin of 2p sigma and 2q sigma on the half grid of the n0 base
+        # cells; the angles are reduced mod 2 pi in integers, so the node at
+        # sigma = pi takes the values at 0
         self.n0 = _CELLS_PER_DEGREE * max(p, q)
+        j, n2 = np.arange(2 * self.n0 + 1), 2 * self.n0
+        ap, aq = p * j % n2 * (TWO_PI / n2), q * j % n2 * (TWO_PI / n2)
+        self.half_grid = np.cos(ap), np.sin(ap), np.cos(aq), np.sin(aq)
 
     def __call__(self, ts):
         """(L, L', error) at each t, as a (3, len(ts)) array."""
         ts = np.asarray(ts, dtype=float)
         out = np.empty((3, len(ts)))
-        width = min(self.n0, _CHUNK // 2)  # base cells per block of sigma
-        rows = max(1, _CHUNK // (2 * width))
+        rows = max(1, _CHUNK // (2 * self.n0))  # n0 <= _CHUNK / 2 by MAX_ORDER
         for r0 in range(0, len(ts), rows):
             t = ts[r0 : r0 + rows]
             acc = np.zeros((4, len(t)))  # sums of +-H and +-E1, error bounds, crossings
-            for k0 in range(0, self.n0, width):
-                self._block(t, k0, min(k0 + width, self.n0), acc)
+            self._block(t, acc)
             # P(0) > 0: the orbit starts inside an arc where E1 > E2
             start = np.where(self._taylor(1.0, 0.0, np.cos(2.0 * t), 0.0, 0)[0] > 0.0, self.omega1, self.omega2)
             scale = 1.0 / (math.pi * self.q)
@@ -486,27 +499,23 @@ class _ResonantLine:
         ap, aq = 2.0 * self.p * sigma, t2 + 2.0 * self.q * sigma
         return np.cos(ap), np.sin(ap), np.cos(aq), np.sin(aq)
 
-    def _block(self, t, k0, k1, acc):
-        # base cells k0..k1-1 of width pi/n0 for every t, from one table of
-        # half-grid angles.  The angles are reduced mod 2 pi in integers, so
-        # the node at sigma = pi takes the values at 0, and a node shared by
-        # two blocks one value.  A cell whose end values share a sign, and
-        # exceed the most P can bend below its chord, has no root; the others
-        # go on to the tests at their midpoints.
-        n2, h, width = 2 * self.n0, math.pi / self.n0, k1 - k0
-        j = np.arange(2 * k0, 2 * k1 + 1)
-        ap, aq = self.p * j % n2 * (TWO_PI / n2), self.q * j % n2 * (TWO_PI / n2)
-        cp, sp, cq, sq = np.cos(ap), np.sin(ap), np.cos(aq), np.sin(aq)
+    def _block(self, t, acc):
+        # the n0 base cells of width pi/n0 for every t, from the half-grid
+        # table.  A cell whose end values share a sign, and exceed the most P
+        # can bend below its chord, has no root; the others go on to the
+        # tests at their midpoints.
+        n0, h = self.n0, math.pi / self.n0
+        cp, sp, cq, sq = self.half_grid
         c, s = np.cos(2.0 * t), np.sin(2.0 * t)
         nodes = self._taylor(cp[::2], None, c[:, None] * cq[::2] - s[:, None] * sq[::2], None, 0)[0]
         pl, pr = nodes[:, :-1], nodes[:, 1:]
         bend = (self._sup(2.0 * t, 2) * (0.125 * h * h) + self.eps_p)[:, None]
-        rows, k = np.divmod(np.flatnonzero((pl * pr <= 0.0) | (np.minimum(np.abs(pl), np.abs(pr)) <= bend)), width)
-        left = rows * (width + 1) + k
+        rows, k = np.divmod(np.flatnonzero((pl * pr <= 0.0) | (np.minimum(np.abs(pl), np.abs(pr)) <= bend)), n0)
+        left = rows * (n0 + 1) + k
         m = 2 * k + 1
         cells = (
             rows,
-            (k0 + k) * h,
+            k * h,
             nodes.ravel()[left],
             nodes.ravel()[left + 1],
             cp[m],
@@ -672,29 +681,23 @@ def _maximize(line, ts, ls, slopes, errs, k0):
     return best
 
 
-def angular_value_resonant_4d(omega1, p, q, rho1, rho2, quad=None):
+def angular_value_resonant_4d(omega1, p, q, rho1, rho2):
     """Angular value for two 2x2 blocks with frequency ratio kappa = p/q:
     sup over t in [0, 2pi] of the line L(t), the orbit mean of
     max(E1(t + tau), E2(kappa tau)).
 
     L is exact at every t (from the crossings of the two speeds).  It is
-    sampled on the t_points grid, and the sup is located by a safeguarded
-    secant on L' next to the first grid maximizer.  `error` bounds the
-    error of L at t_argmax.
+    sampled at T_POINTS equally spaced t, and the sup is located by a
+    safeguarded secant on L' next to the first grid maximizer.  `error`
+    bounds the error of L at t_argmax.  max(p, q) is at most MAX_ORDER.
     """
-    quad = quad or QuadConfig()
     line = _ResonantLine(omega1, p, q, rho1, rho2)
-    nt = quad.t_points
-    if max(line.p, line.q) * nt > MAX_RESONANT_WORK:
-        raise ValueError(
-            "max(p, q) * t_points = %d * %d exceeds %d" % (max(line.p, line.q), nt, MAX_RESONANT_WORK)
-        )
-    ts = np.arange(nt) * (TWO_PI / nt)
-    # L(t + pi) = L(t) (for even nt) and L(2pi - t) = L(t): evaluate the first
-    # point of each grid orbit of these maps and fill the line by indexing, so
-    # argmax returns the first grid maximizer; L' flips sign under reflection
-    half = nt // 2 if nt % 2 == 0 else nt
-    k = np.arange(nt)
+    ts = np.arange(T_POINTS) * (TWO_PI / T_POINTS)
+    # L(t + pi) = L(t) and L(2pi - t) = L(t): evaluate the first point of each
+    # grid orbit of these maps and fill the line by indexing, so argmax
+    # returns the first grid maximizer; L' flips sign under reflection
+    half = T_POINTS // 2
+    k = np.arange(T_POINTS)
     fwd, back = k % half, -k % half
     ls, slopes, errs = line(ts[: half // 2 + 1])[:, np.minimum(fwd, back)]
     slopes = np.where(fwd <= back, slopes, -slopes)

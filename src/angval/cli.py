@@ -1,7 +1,7 @@
 """Command line driver.
 
 Matrix files are plain CSV with a `# rows cols` header line.  Structured
-runs (dynamical systems, quadrature settings, sweeps) read a single JSON
+runs (dynamical systems, autonomous specs, sweeps) read a single JSON
 config; the resolved config is embedded verbatim in the run metadata that
 accompanies every --out file.  All angles are radians unless --degrees is
 given, and all outputs are deterministic for a fixed (config, seed).
@@ -20,12 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .autonomous import (
-    QuadConfig,
-    SchurSpec,
-    angular_value_irrational,
-    angular_value_resonant_4d,
-)
+from .autonomous import SchurSpec, angular_value_irrational, angular_value_resonant_4d
 from .continuous import ContinuousSystem, estimate_angular_value_ct
 from .discrete import DiscreteSystem, estimate_angular_value
 from .errors import AngvalError, BudgetExceeded, DimensionMismatch
@@ -225,10 +220,6 @@ def build_search_config(cfg, seed):
     return SubspaceSearchConfig(seed=seed, **_settings(cfg, "search", _SEARCH_KEYS))
 
 
-def build_quad_config(cfg):
-    return QuadConfig(**_settings(cfg, "quad", {"t_points": _integral}))
-
-
 def _subspace_pair(args, v, w):
     """The subspaces spanned by the matrix files v and w, at --tol."""
     return [subspace_from_spanning(load_matrix(path), tol=args.tol) for path in (v, w)]
@@ -298,7 +289,7 @@ def cmd_estimate(args):
 
 def cmd_autonomous(args):
     cfg = load_config(args)
-    quad = build_quad_config(cfg)
+    _settings(cfg, "quad", {})  # the rules take no settings: every key is refused
     if "resonant" in cfg:
         r = cfg["resonant"]
         res = angular_value_resonant_4d(
@@ -307,7 +298,6 @@ def cmd_autonomous(args):
             _integral("q", r["q"]),
             _number("rho1", r["rho1"]),
             _number("rho2", r["rho2"]),
-            quad=quad,
         )
         rows = [(float(t), float(l)) for t, l in zip(res.t_values, res.l_values)]
         meta = _meta(
@@ -337,13 +327,13 @@ def cmd_autonomous(args):
 
 def cmd_sweep(args):
     cfg = load_config(args)
+    _settings(cfg, "quad", {})
     cells = hairy_sweep(
         _number("omega1", cfg["omega1"]),
         _number("rho1", cfg["rho1"]),
         kappa_grid=_numbers("kappa_grid", cfg["kappa_grid"]) if "kappa_grid" in cfg else None,
         rho2_grid=_numbers("rho2_grid", cfg["rho2_grid"]) if "rho2_grid" in cfg else None,
         qmax=_integral("qmax", cfg.get("qmax", 20)),
-        quad=build_quad_config(cfg),
         threads=args.threads,
     )
     rows = []

@@ -160,13 +160,13 @@ def _speed(theta, omega, rho):
     return rho * omega / (c * c + rho * rho * s * s)
 
 
-def resonant_line(t, omega1, p, q, rho1, rho2, grid=4096):
+def resonant_line(t, omega1, p, q, rho1, rho2):
     """L(t) = (1/(2 pi q)) sum_{j<q} int_0^{2 pi} max(E1(t + tau),
     E2(kappa (tau + 2 pi j))) dtau for kappa = p/q, omega2 = kappa omega1 and
     the ellipse speeds E(theta) = rho omega / (cos^2 theta + rho^2 sin^2 theta).
 
     Each orbit term is split where the speeds cross (sign changes of their
-    difference on a grid of `grid` points, polished by brentq), so that every
+    difference on a grid of 4096 points, polished by brentq), so that every
     adaptive quadrature integrates one smooth branch.
     """
     from scipy.integrate import quad
@@ -174,7 +174,7 @@ def resonant_line(t, omega1, p, q, rho1, rho2, grid=4096):
 
     kappa = p / q
     omega2 = kappa * omega1
-    taus = np.linspace(0.0, 2.0 * math.pi, grid + 1)
+    taus = np.linspace(0.0, 2.0 * math.pi, 4097)
     total = 0.0
     for j in range(q):
         shift = 2.0 * math.pi * j

@@ -94,7 +94,9 @@ def haar_basis(rng, d, s):
 def check_budget(d, s, config, steps_per_eval):
     """Refuse a search whose worst case exceeds the cost cap, before any work."""
     evals = config.candidates + config.refine_rounds * 2 * d * s
-    if evals * steps_per_eval > config.cost_cap:
+    # every evaluation takes at least one step; refusing a count above the
+    # cap first keeps counts beyond the float range out of the product
+    if evals > config.cost_cap or evals * steps_per_eval > config.cost_cap:
         raise BudgetExceeded(
             "search needs up to %d evaluations x %g steps > cost cap %g" % (evals, steps_per_eval, config.cost_cap)
         )
@@ -109,10 +111,15 @@ def default_sample_times(horizon, count, discrete):
     return pts
 
 
-def _variant_stat(variant, tail_vals):
-    if variant in ("sup-limsup", "limsup-sup"):
-        return float(np.max(tail_vals))
-    return float(np.min(tail_vals))
+def _fold(variant, tail_table):
+    # the variant value of a (candidates, times) table of tail averages
+    if variant == "sup-limsup":
+        return float(tail_table.max())
+    if variant == "sup-liminf":
+        return float(tail_table.min(axis=1).max())
+    if variant == "limsup-sup":
+        return float(tail_table.max(axis=0).max())
+    return float(tail_table.max(axis=0).min())  # liminf-sup
 
 
 def run_search(evaluate, d, s, variant, horizon, times, config):
@@ -140,7 +147,7 @@ def run_search(evaluate, d, s, variant, horizon, times, config):
     evaluations = len(pool_bases)
 
     def stat(vals):
-        return _variant_stat(variant, vals[tail_mask])
+        return _fold(variant, vals[None, tail_mask])
 
     best = int(np.argmax([stat(v) for v in pool_vals]))
     best_basis = pool_bases[best]
@@ -168,18 +175,9 @@ def run_search(evaluate, d, s, variant, horizon, times, config):
     pool_bases.append(best_basis)
     pool_vals.append(best_vals)
     table = np.vstack(pool_vals)  # (candidates, times)
-    tail_table = table[:, tail_mask]
-    if variant == "sup-limsup":
-        value = float(tail_table.max())
-    elif variant == "sup-liminf":
-        value = float(tail_table.min(axis=1).max())
-    elif variant == "limsup-sup":
-        value = float(tail_table.max(axis=0).max())
-    else:  # liminf-sup
-        value = float(tail_table.max(axis=0).min())
     return AngularValueReport(
         variant=variant,
-        value=value,
+        value=_fold(variant, table[:, tail_mask]),
         horizon=float(horizon),
         subspace_dim=s,
         best_basis=best_basis,

@@ -25,6 +25,9 @@ from .autonomous import SchurSpec, angular_value_irrational, angular_value_reson
 from .linalg import ComplexBlock, rotation
 
 TWO_PI = 2.0 * math.pi
+# uniform circle grid: the irrational orbit average, and the starting points
+# scanned for a rational sup
+CIRCLE_POINTS = 4096
 # the sweep grid holds about 0.3 qmax^2 ratios, each a cell per row
 MAX_QMAX = 100
 
@@ -94,7 +97,7 @@ def _circle_points(angles):
     return np.vstack([np.cos(angles), np.sin(angles)])
 
 
-def f_infinity(f, x, phi, lam, tag, grid=4096):
+def f_infinity(f, x, phi, lam, tag):
     """Orbit average of f under the rotation by phi, per the tag.
 
     f(x, phi, lam) maps a (2, m) array of points to their m values.  x is
@@ -116,12 +119,12 @@ def f_infinity(f, x, phi, lam, tag, grid=4096):
             xj = step @ xj
         avg = total / tag.q
     else:
-        pts = _circle_points(np.arange(int(grid)) * (TWO_PI / int(grid)))
+        pts = _circle_points(np.arange(CIRCLE_POINTS) * (TWO_PI / CIRCLE_POINTS))
         avg = np.full(x.size // 2, f(pts, phi, lam).mean())
     return float(avg[0]) if x.ndim == 1 else avg
 
 
-def theta_infinity(f, phi, lam, tag, torus_grid=4096):
+def theta_infinity(f, phi, lam, tag):
     """sup over starting points of the orbit average f_infinity.
 
     The irrational branch is grid-free: its average does not depend on the
@@ -130,9 +133,9 @@ def theta_infinity(f, phi, lam, tag, torus_grid=4096):
     more, around the best cell with 8x finer spacing.
     """
     if not tag.rational:
-        return f_infinity(f, np.array([1.0, 0.0]), phi, lam, tag, grid=torus_grid)
-    h = TWO_PI / int(torus_grid)
-    angles = np.arange(int(torus_grid)) * h
+        return f_infinity(f, np.array([1.0, 0.0]), phi, lam, tag)
+    h = TWO_PI / CIRCLE_POINTS
+    angles = np.arange(CIRCLE_POINTS) * h
     vals = f_infinity(f, _circle_points(angles), phi, lam, tag)
     k = int(np.argmax(vals))
     fine = f_infinity(f, _circle_points(angles[k] + np.linspace(-h, h, 17)), phi, lam, tag)
@@ -147,7 +150,7 @@ def _line_angle(u, v):
     return np.arctan2(np.abs(cross), np.abs(dot))
 
 
-def discrete2d_theta1(phi, rho, tag=None, torus_grid=4096):
+def discrete2d_theta1(phi, rho, tag=None):
     """First angular value of the sheared planar rotation u -> D T_phi D^-1 u.
 
     The per-step angle is g(x) = ang(x, D_rho T_phi D_rho^-1 x); writing
@@ -169,7 +172,7 @@ def discrete2d_theta1(phi, rho, tag=None, torus_grid=4096):
     def f(x, _phi, _rho):
         return _line_angle(d @ x, d @ (t @ x))
 
-    val = theta_infinity(f, phi, rho, tag, torus_grid=torus_grid)
+    val = theta_infinity(f, phi, rho, tag)
     return min(max(val, 0.0), math.pi / 2.0)
 
 
@@ -229,10 +232,10 @@ def _resolve_threads(threads, jobs=math.inf):
     return max(min(int(threads), os.cpu_count() or 1, jobs), 1)
 
 
-def _sweep_cell(omega1, rho1, kappa, rho2, tag, quad):
+def _sweep_cell(omega1, rho1, kappa, rho2, tag):
     t0 = time.perf_counter()
     if tag.rational:
-        res = angular_value_resonant_4d(omega1, tag.p, tag.q, rho1, rho2, quad=quad)
+        res = angular_value_resonant_4d(omega1, tag.p, tag.q, rho1, rho2)
         t_argmax = res.t_argmax
     else:
         spec = SchurSpec((ComplexBlock(0.0, omega1, rho1), ComplexBlock(-1.0, kappa * omega1, rho2)))
@@ -258,7 +261,6 @@ def hairy_sweep(
     kappa_grid=None,
     rho2_grid=None,
     qmax=20,
-    quad=None,
     threads=None,
 ):
     """Second angular value of the two-block system over a (kappa, rho2) grid.
@@ -289,12 +291,12 @@ def hairy_sweep(
     nthreads = _resolve_threads(threads, len(jobs))
     if nthreads == 1:
         return [
-            _sweep_cell(omega1, rho1, kappa, rho2, tag, quad)
+            _sweep_cell(omega1, rho1, kappa, rho2, tag)
             for kappa, rho2, tag in jobs
         ]
     with ThreadPoolExecutor(max_workers=nthreads) as pool:
         futs = [
-            pool.submit(_sweep_cell, omega1, rho1, kappa, rho2, tag, quad)
+            pool.submit(_sweep_cell, omega1, rho1, kappa, rho2, tag)
             for kappa, rho2, tag in jobs
         ]
         return [f.result() for f in futs]

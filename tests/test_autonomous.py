@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from scipy.linalg import expm
 
 from angval import autonomous, oracles
 from angval.autonomous import (
-    QuadConfig,
+    MAX_ORDER,
+    MAX_SPEED,
+    MIN_RHO,
+    T_POINTS,
     SchurSpec,
     admissible_sets,
     angular_value_irrational,
@@ -24,6 +28,7 @@ from angval.autonomous import (
     symmetry_check,
     w_infinity,
 )
+from angval.cli import main
 from angval.continuous import angular_integral
 from angval.errors import (
     InvalidBlock,
@@ -383,9 +388,15 @@ def test_torus_rule_matches_1d_reference(size):
         {"t_points": True},
     ],
 )
-def test_quad_config_rejects_degenerate_grids(kwargs):
-    with pytest.raises(ValueError):
-        QuadConfig(**kwargs)
+def test_quad_config_rejects_degenerate_grids(tmp_path, capsys, kwargs):
+    # the resonant grid is fixed at T_POINTS: a quad config that sets it,
+    # to any value, is bad input
+    path = tmp_path / "r.json"
+    resonant = {"omega1": 1.0, "p": 1, "q": 2, "rho1": 0.5, "rho2": 0.25}
+    path.write_text(json.dumps({"resonant": resonant, "quad": kwargs}))
+    assert main(["autonomous", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown quad settings: t_points" in captured.err and captured.out == ""
 
 
 def block_lines(a, b):
@@ -454,14 +465,17 @@ def test_resonant_rejects_non_finite_omega1(omega1):
 
 
 def test_resonant_rejects_oversized_table():
-    # 20 * 2**16 is above the 2**20 bound on max(p, q) * t_points: refused before any work
+    # max(p, q) * T_POINTS is at most 2**20 for max(p, q) <= 1456: refused before any work
+    assert MAX_ORDER == 1456
     with pytest.raises(ValueError, match="exceeds"):
-        angular_value_resonant_4d(1.0, 1, 20, 0.5, 0.5, QuadConfig(t_points=2**16))
+        angular_value_resonant_4d(1.0, 1, MAX_ORDER + 1, 0.5, 0.5)
+    with pytest.raises(ValueError, match="exceeds"):
+        resonant_line(1.0, MAX_ORDER + 1, 1, 0.5, 0.5, [0.0])
 
 
 def test_resonant_grid_shape_and_argmax_location():
-    res = angular_value_resonant_4d(1.0, 1, 3, 0.5, 0.9, quad=QuadConfig(t_points=180))
-    assert len(res.t_values) == 180 and len(res.l_values) == 180
+    res = angular_value_resonant_4d(1.0, 1, 3, 0.5, 0.9)
+    assert len(res.t_values) == T_POINTS and len(res.l_values) == T_POINTS
     assert 0.0 <= res.t_argmax < 2 * math.pi
     assert res.value >= res.l_values.max()
 
@@ -470,18 +484,18 @@ _rho = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 40), st.integers(1, 20), _rho, _rho, st.integers(1, 64))
-@example(7, 20, 0.05, 0.05, 64)
-@example(3, 7, 1 / 3, 1.0, 60)
-@example(1, 1, 0.5, 0.5, 1)
-@example(1, 1, 1.0, 1.0, 12)
-@example(2, 3, 0.2, 0.7, 6)
-def test_resonant_line_matches_full_grid(p, q, rho1, rho2, nt):
+@given(st.integers(1, 40), st.integers(1, 20), _rho, _rho)
+@example(7, 20, 0.05, 0.05)
+@example(3, 7, 1 / 3, 1.0)
+@example(1, 1, 0.5, 0.5)
+@example(1, 1, 1.0, 1.0)
+@example(2, 3, 0.2, 0.7)
+def test_resonant_line_matches_full_grid(p, q, rho1, rho2):
     # the symmetry fill (one grid point per orbit of t -> t + pi, t -> 2 pi - t)
     # against the exact line evaluated at every grid t
     g = math.gcd(p, q)
     p, q = p // g, q // g
-    res = angular_value_resonant_4d(1.0, p, q, rho1, rho2, QuadConfig(t_points=nt))
+    res = angular_value_resonant_4d(1.0, p, q, rho1, rho2)
     line = resonant_line(1.0, p, q, rho1, rho2, res.t_values)
     # relative: L grows with omega2 = p/q
     assert np.max(np.abs(res.l_values - line)) <= 1e-13 * line.max()
@@ -489,8 +503,7 @@ def test_resonant_line_matches_full_grid(p, q, rho1, rho2, nt):
 
 
 def test_resonant_line_is_the_same_in_small_chunks(monkeypatch):
-    # one t and 128 of the 160 base cells at a time: nodes shared by two
-    # blocks of sigma get one value, so the crossings are the same
+    # one t at a time instead of 102, and at most 32 cells split at once
     ts = np.linspace(0.0, 2 * math.pi, 7)
     want = resonant_line(1.0, 13, 20, 1 / 3, 0.25, ts)
     monkeypatch.setattr(autonomous, "_CHUNK", 256)
@@ -509,6 +522,69 @@ def test_resonant_line_matches_the_oracle(p, q, rho1, rho2, t):
     assert abs(resonant_line(1.0, p, q, rho1, rho2, [t])[0] - oracles.resonant_line(t, 1.0, p, q, rho1, rho2)) <= 1e-12
     res = angular_value_resonant_4d(1.0, p, q, rho1, rho2)
     assert res.error >= abs(res.value - oracles.resonant_line(res.t_argmax, 1.0, p, q, rho1, rho2))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 20), st.integers(1, 20), _rho, _rho, st.floats(-2 * math.pi, 2 * math.pi))
+@example(1, 2, 0.5, 0.25, 0.0)
+@example(13, 20, 1 / 3, 0.25, 1.0)
+@example(1, 1, 1.0, 0.05, 2.5)
+def test_resonant_line_has_period_pi_over_p_and_is_even(p, q, rho1, rho2, t):
+    # shifting t by pi/p is a shift of the orbit by pi q m/p with q m = 1
+    # mod p, which maps both speeds onto themselves; t -> -t reflects the orbit
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    lt, shifted, reflected = resonant_line(1.0, p, q, rho1, rho2, [t, t + math.pi / p, -t])
+    assert abs(shifted - lt) <= 1e-13 * lt
+    assert abs(reflected - lt) <= 1e-13 * lt
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 1), (2, 3), (13, 20)])
+@pytest.mark.parametrize("rho1,rho2", [(MIN_RHO, 0.25), (0.25, MIN_RHO), (MIN_RHO, MIN_RHO), (MIN_RHO, 1.0)])
+def test_resonant_value_at_the_rho_floor_is_above_the_faster_speed(p, q, rho1, rho2):
+    # L is an orbit mean of max(E1, E2), and each speed has its frequency as
+    # orbit mean, so the value is at least max(omega1, omega2)
+    res = angular_value_resonant_4d(1.0, p, q, rho1, rho2)
+    assert res.value >= max(1.0, p / q) - res.error
+    assert math.isfinite(res.error) and res.error < 1e-12
+
+
+@pytest.mark.parametrize("omegas", [(1.0, 1 / SQRT2), (0.3, 3.0), (1.0, 1.3, 0.8)])
+@pytest.mark.parametrize("rho", [MIN_RHO, 0.25, 1.0])
+def test_torus_value_at_the_rho_floor_is_above_the_faster_speed(omegas, rho):
+    params = [(omegas[0], MIN_RHO)] + [(w, rho) for w in omegas[1:]]
+    sv = integral_for_set(_torus_spec(params), tuple(range(1, len(params) + 1)))
+    assert sv.value >= max(omegas) - sv.error
+    assert abs(sv.value - _torus_reference(params)) <= sv.error
+
+
+@pytest.mark.parametrize(
+    "omega,rho,message",
+    [
+        (1.0, 1e-300, "below the floor"),  # (rho1 rho2)^2 underflowed to a division by zero
+        (1.0, 1e-12, "below the floor"),  # the torus value fell below max omega_j
+        (1.0, 0.999 * MIN_RHO, "below the floor"),
+        (1e308, 0.5, "exceeds the bound"),  # the values were nan
+        (1.0001 * MAX_SPEED * 0.5, 0.5, "exceeds the bound"),
+    ],
+)
+def test_rules_refuse_speeds_they_cannot_carry(omega, rho, message):
+    with pytest.raises(InvalidBlock, match=message):
+        integral_for_set(_torus_spec([(omega, rho), (1 / SQRT2, 0.25)]), (1, 2))
+    with pytest.raises(InvalidBlock, match=message):
+        angular_value_resonant_4d(omega, 1, 2, rho, 0.25)
+    with pytest.raises(InvalidBlock, match=message):
+        resonant_line(omega, 1, 2, 0.25, rho, [0.0])
+
+
+def test_rules_carry_the_floor_and_the_bound():
+    # one block alone is its frequency, exactly, whatever its rho
+    assert integral_for_set(_torus_spec([(1.0, 1e-12)]), (1,)).value == 1.0
+    sv = integral_for_set(_torus_spec([(MAX_SPEED * MIN_RHO, MIN_RHO), (1.0, 0.5)]), (1, 2))
+    res = angular_value_resonant_4d(MAX_SPEED * MIN_RHO, 1, 1, MIN_RHO, 1.0)
+    for value, error in ((sv.value, sv.error), (res.value, res.error)):
+        assert math.isfinite(value) and math.isfinite(error)
+        assert value >= MAX_SPEED * MIN_RHO - error
 
 
 # ---------------------------------------------------------------- symmetry

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -241,14 +242,13 @@ def test_autonomous_resonant_emits_line(tmp_path, capsys):
         "r.json",
         {
             "resonant": {"omega1": 1.0, "p": 1, "q": 2, "rho1": 1.0 / 3.0, "rho2": 0.25},
-            "quad": {"t_points": 90},
         },
     )
     out = tmp_path / "line.csv"
     assert main(["autonomous", "--config", cfg, "--out", str(out)]) == 0
     assert value_from(capsys) >= 1.0 - 1e-9
     headers, rows = csv_rows(out.read_text())
-    assert headers == ["t", "L"] and len(rows) == 90
+    assert headers == ["t", "L"] and len(rows) == 720
 
 
 def test_autonomous_rational_gate_is_exit_3(tmp_path, capsys):
@@ -276,7 +276,6 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
             "rho1": 1.0 / 3.0,
             "kappa_grid": [0.5, 0.505],
             "rho2_grid": [0.25],
-            "quad": {"t_points": 180},
         },
     )
     out1 = tmp_path / "s1.csv"
@@ -430,18 +429,19 @@ _BIRKHOFF = {
     ],
 )
 def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
+    # the resonant grid is fixed, so both commands refuse t_points whatever its value
     path = write_config(tmp_path, "q.json", cfg)
     assert main([command, "--config", path]) == 2
     captured = capsys.readouterr()
-    assert "quad needs" in captured.err and "value =" not in captured.out
+    assert "unknown quad settings: t_points" in captured.err and "value =" not in captured.out
 
 
 @pytest.mark.parametrize(
     "command,cfg,message",
     [
-        ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {"t_points": 720.5}}, "t_points"),
-        ("autonomous", {"resonant": _RESONANT, "quad": {"t_points": "720"}}, "t_points"),
-        ("sweep", dict(_SWEEP, quad={"t_points": True}), "t_points"),
+        ("autonomous", {"resonant": dict(_RESONANT, p=1.5)}, "p must"),
+        ("autonomous", {"resonant": dict(_RESONANT, q="2")}, "q must"),
+        ("sweep", dict(_SWEEP, qmax=True), "qmax"),
         ("sweep", dict(_SWEEP, qmax=20.5), "qmax"),
         ("autonomous", {"resonant": dict(_RESONANT, q=2.5)}, "q must"),
         ("autonomous", {"blocks": _TWO_BLOCKS, "s": 1.5}, "s must"),
@@ -467,8 +467,7 @@ def test_non_integral_sizes_are_exit_2(tmp_path, capsys, command, cfg, message):
     "command,cfg,message",
     [
         ("sweep", dict(_SWEEP, qmax=10**6), "qmax must lie"),
-        ("autonomous", {"resonant": dict(_RESONANT, p=1, q=20), "quad": {"t_points": 2**16}},
-         "exceeds"),
+        ("autonomous", {"resonant": dict(_RESONANT, p=1, q=1457)}, "exceeds"),
     ],
 )
 def test_oversized_resonance_is_exit_2(tmp_path, capsys, command, cfg, message):
@@ -504,7 +503,7 @@ def test_oracle_sizes_are_refused_before_work(tmp_path, capsys, monkeypatch, cfg
     assert message in captured.err and "value =" not in captured.out
 
 
-@pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed", "panels", "tau_panels"])
+@pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed", "panels", "tau_panels", "t_points"])
 def test_removed_quad_keys_are_exit_2(tmp_path, capsys, key):
     path = write_config(tmp_path, "q.json", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {key: 8}})
     assert main(["autonomous", "--config", path]) == 2
@@ -625,6 +624,22 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         ("discrete", dict(_PLANAR, horizon=100, search={"sample_count": 1e9}), 2, "sample_count must be at most"),
         # a cost cap this large would pass a horizon whose sample times overflow their integer cast
         ("discrete", dict(_PLANAR, horizon=1e19, search={"cost_cap": 1e300}), 2, "cost_cap must be at most"),
+        # (rho1 rho2)^2 underflowed to a division by zero (exit 1); at 1e-12 the
+        # torus value fell below max omega_j
+        ("sweep", dict(_SWEEP, rho1=1e-300), 2, "below the floor"),
+        ("sweep", dict(_SWEEP, kappa_grid=[0.5], rho2_grid=[1e-160]), 2, "below the floor"),
+        ("autonomous", {"resonant": dict(_RESONANT, rho1=1e-300)}, 2, "below the floor"),
+        ("autonomous", {"blocks": [_TWO_BLOCKS[0], dict(_TWO_BLOCKS[1], rho=1e-12)], "s": 2}, 2, "below the floor"),
+        # both rules overflowed to a nan value, with exit 0
+        ("sweep", dict(_SWEEP, omega1=1e308, kappa_grid=[0.5, 0.7]), 2, "exceeds the bound"),
+        ("autonomous", {"resonant": dict(_RESONANT, omega1=1e308)}, 2, "exceeds the bound"),
+        ("autonomous", {"blocks": [dict(_TWO_BLOCKS[0], omega=1e308), _TWO_BLOCKS[1]], "s": 2, "override_gate": True},
+         2, "exceeds the bound"),
+        # a count of 1e308 made the budget's product overflow: a traceback (exit 1) or a warning
+        ("discrete", dict(_PLANAR, search={"refine_rounds": 1e308, "sample_times": [10]}), 4,
+         "evaluations x 10 steps > cost cap"),
+        ("discrete", dict(_PLANAR, search={"candidates": 1e308, "sample_times": [10]}), 4,
+         "evaluations x 10 steps > cost cap"),
     ],
 )
 def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, command, cfg, code, message):
@@ -648,11 +663,12 @@ def test_rank_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
 
 # Small valid configs whose every key, at every nesting level, the property
 # below replaces; together they hold the documented keys of discrete,
-# continuous and oracle.
+# continuous, autonomous, sweep and oracle.
 _FUZZ_SEARCH = {
     "candidates": 1, "refine_rounds": 0, "refine_scale": 0.3, "sample_count": 4,
     "sample_times": [4, 8], "tail_fraction": 0.5, "cost_cap": 1e6,
 }
+_FUZZ_SWEEP = dict(_SWEEP, kappa_grid=[0.5, 0.7], qmax=20)
 _FUZZ_BASES = [
     ("discrete", dict(_PLANAR, s=1, variant="sup-limsup", horizon=8, search=_FUZZ_SEARCH)),
     ("discrete", {"system": {"kind": "constant", "matrix": [[0.0, 1.0], [1.0, 0.0]]}, "horizon": 8}),
@@ -665,8 +681,11 @@ _FUZZ_BASES = [
     ("oracle", dict(_BIRKHOFF, time="discrete", v0="v.csv", horizon=8)),
     ("oracle", dict(_BIRKHOFF, time="continuous", system=_MODEL2D["system"], horizon=1.0, step=0.1)),
     ("oracle", {"kind": "fd_derivative", "w": "v.csv", "wdot": "w.csv", "h": 1e-6}),
+    ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "override_gate": True, "quad": {}}),
+    ("autonomous", {"resonant": _RESONANT, "quad": {}}),
+    ("sweep", _FUZZ_SWEEP),
 ]
-_FUZZ_POOL = [0, -1, 1e300, 1e-300, True, "1", [], {}, None, 1, 2]
+_FUZZ_POOL = [0, -1, 1e300, 1e308, 1e-300, True, "1", [], {}, None, 1, 2]
 
 
 def _key_paths(cfg, prefix=()):
@@ -684,10 +703,15 @@ _FUZZ_CASES = [(command, base, path) for command, base in _FUZZ_BASES for path i
 @example(("oracle", _FUZZ_BASES[5][1], ("v",)), 2)  # maxmin
 @example(("oracle", _FUZZ_BASES[5][1], ("v",)), 0)
 @example(("oracle", _FUZZ_BASES[8][1], ("w",)), 1)  # fd_derivative
-def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, case, value):
+@example(("sweep", _FUZZ_SWEEP, ("rho1",)), 1e-300)  # a division by zero
+@example(("sweep", _FUZZ_SWEEP, ("omega1",)), 1e308)  # nan values
+@example(("autonomous", _FUZZ_BASES[10][1], ("resonant", "omega1")), 1e308)
+@example(("autonomous", _FUZZ_BASES[10][1], ("resonant", "rho2")), 1e-300)
+def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, capsys, case, value):
     # one documented key replaced by a value of the wrong type, sign or size:
-    # main reports it by an exit code, raises nothing, warns nothing and
-    # leaves stdout and stderr open
+    # main reports it by an exit code, raises nothing, warns nothing, leaves
+    # stdout and stderr open, and prints no nan or inf when it exits 0
+    capsys.readouterr()
     command, base, path = case
     cfg = json.loads(json.dumps(base))
     parent = cfg
@@ -697,6 +721,14 @@ def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, case, va
     monkeypatch.chdir(tmp_path)
     save_matrix(tmp_path / "v.csv", np.array([[1.0], [0.0]]))
     save_matrix(tmp_path / "w.csv", np.array([[math.cos(0.3)], [math.sin(0.3)]]))
-    assert main([command, "--config", write_config(tmp_path, "fuzz.json", cfg)]) in (0, 2, 3, 4)
+    code = main([command, "--config", write_config(tmp_path, "fuzz.json", cfg)])
+    assert code in (0, 2, 3, 4)
     os.fstat(1)
     os.fstat(2)
+    out = capsys.readouterr().out
+    for token in re.split(r"[,\s=]+", out) if code == 0 else ():
+        try:
+            x = float(token)
+        except ValueError:
+            continue  # a header, tag or label
+        assert math.isfinite(x), out
