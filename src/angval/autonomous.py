@@ -381,11 +381,13 @@ def angular_value_irrational(s, spec, override_gate=False):
     """Outer angular value of the flow for gated-independent frequencies:
     max over maximal admissible index sets of the torus mean."""
     sets = admissible_sets(s, spec, maximal_only=True)
+    wide = [j for j in sets if len(j) >= 2]
+    # bounds before the gate, which reads every speed ratio above 2^53 as a resonance
+    for j in wide:
+        _check_speeds([(spec.blocks[l - 1].omega, spec.blocks[l - 1].rho) for l in j])
     if not override_gate:
         witnesses = []
-        for j in sets:
-            if len(j) < 2:
-                continue
+        for j in wide:
             verdict = rational_independence_gate([spec.blocks[l - 1].omega for l in j])
             for (a, b, p, q) in verdict.witnesses:
                 witnesses.append((j[a], j[b], p, q))

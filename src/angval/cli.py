@@ -210,9 +210,9 @@ def build_schur_spec(blocks_cfg):
 
 
 _SEARCH_KEYS = {
-    **dict.fromkeys(("candidates", "refine_rounds", "sample_count"), _integral),
-    **dict.fromkeys(("refine_scale", "tail_fraction", "cost_cap"), _number),
+    **dict.fromkeys(("candidates", "refine_rounds"), _integral),
     "sample_times": _numbers,
+    "cost_cap": _number,
 }
 
 

@@ -174,7 +174,8 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
 
     Candidates are scored by (1/t) a_{0,t} at a shared sample of times in
     (0, horizon], accumulated by the trapezoid rule on the RK4 trajectory;
-    the tail window provides the limsup/liminf proxies.
+    the tail window (from horizon * TAIL_FRACTION on) provides the
+    limsup/liminf proxies.
     """
     nsteps, h = _resolve_steps(horizon, step)
     # before the sample indices: a tiny step overflows their integer cast
@@ -184,7 +185,7 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
         if raw.min() <= 0.0 or raw.max() > horizon:
             raise ValueError("sample times must lie in (0, horizon]")
     else:
-        raw = default_sample_times(horizon, config.sample_count, discrete=False)
+        raw = default_sample_times(horizon, discrete=False)
     idx = np.unique(np.clip(np.round(raw / h).astype(int), 1, nsteps))
     times = idx * h
 

@@ -128,7 +128,7 @@ def estimate_angular_value(sys, s, variant, horizon, config):
 
     Candidates are scored by Cesaro averages of their angle sums on a
     shared logarithmic sample of [1, horizon]; the tail window (from
-    horizon * tail_fraction on) provides the limsup/liminf proxies.  The
+    horizon * TAIL_FRACTION on) provides the limsup/liminf proxies.  The
     returned value is a lower bound with respect to the subspace search.
     """
     if not (horizon >= 1 and float(horizon).is_integer()):
@@ -139,7 +139,7 @@ def estimate_angular_value(sys, s, variant, horizon, config):
     # before the integer casts, which a huge horizon overflows
     check_budget(sys.dim, s, config, horizon if times is None else times[-1])
     if times is None:
-        times = default_sample_times(int(horizon), config.sample_count, discrete=True)
+        times = default_sample_times(int(horizon), discrete=True)
     times = times.astype(int)
 
     sums = _propagator(sys, int(times[-1]))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, RankDeficient, SingularMatrix, StepUnstable
 
 
 def _unit_grid_2d(basis, m, offset):
@@ -115,7 +115,9 @@ def birkhoff_average(system, v0, horizon, step=None):
     For discrete systems horizon is the number of steps.  Continuous
     systems are advanced with matrix exponentials of the generator frozen
     at midpoints, with time step `step`; the sum of successive angles
-    converges to the angle integral as step -> 0.
+    converges to the angle integral as step -> 0.  A non-finite image of
+    the basis raises StepUnstable, a collapsed one (|R_jj| <= 1e-10 max
+    |image|) SingularMatrix.
     """
     from .continuous import ContinuousSystem
     from .discrete import DiscreteSystem
@@ -125,34 +127,32 @@ def birkhoff_average(system, v0, horizon, step=None):
     q, r = np.linalg.qr(basis)
     if np.linalg.matrix_rank(r) < basis.shape[1]:
         raise RankDeficient("the starting basis is rank deficient")
-    total = 0.0
     if isinstance(system, DiscreteSystem):
-        n = int(horizon)
-        for k in range(n):
-            nxt, _ = np.linalg.qr(system.matrix(k) @ q)
-            total += _angle_between_orthonormal(q, nxt)
-            q = nxt
-        return total / n
-    if isinstance(system, ContinuousSystem):
+        nsteps = length = int(horizon)
+        step_map = system.matrix
+    elif isinstance(system, ContinuousSystem):
         if step is None:
             raise ValueError("continuous birkhoff_average needs a step")
         nsteps = int(round(horizon / step))
+        length = nsteps * step
         if system.constant is not None:
-            flows = {0.0: expm(step * system.constant)}
-            flow = flows[0.0]
-            for k in range(nsteps):
-                nxt, _ = np.linalg.qr(flow @ q)
-                total += _angle_between_orthonormal(q, nxt)
-                q = nxt
+            step_map = lambda k, flow=expm(step * system.constant): flow
         else:
-            for k in range(nsteps):
-                t_mid = (k + 0.5) * step
-                flow = expm(step * system.matrix(t_mid))
-                nxt, _ = np.linalg.qr(flow @ q)
-                total += _angle_between_orthonormal(q, nxt)
-                q = nxt
-        return total / (nsteps * step)
-    raise TypeError("unsupported system type %r" % (type(system).__name__,))
+            step_map = lambda k: expm(step * system.matrix((k + 0.5) * step))
+    else:
+        raise TypeError("unsupported system type %r" % (type(system).__name__,))
+    total = 0.0
+    for k in range(nsteps):
+        image = step_map(k) @ q
+        size = np.abs(image).max()  # nan or inf when an entry is
+        if not math.isfinite(size):
+            raise StepUnstable("step %d carries the basis to non-finite entries" % k)
+        nxt, r = np.linalg.qr(image)
+        if np.abs(r.diagonal()).min() <= 1e-10 * size:
+            raise SingularMatrix("step %d collapses the propagated subspace" % k)
+        total += _angle_between_orthonormal(q, nxt)
+        q = nxt
+    return total / length
 
 
 def _speed(theta, omega, rho):

@@ -19,10 +19,12 @@ import numpy as np
 from .errors import BudgetExceeded
 
 VARIANTS = ("sup-limsup", "sup-liminf", "limsup-sup", "liminf-sup")
-# Upper limits: the default sample grid holds sample_count floats, which
-# check_budget does not count, and under this cost cap every step count that
-# passes check_budget stays below 2^53, where its integer casts are exact
-MAX_SAMPLE_COUNT = 10**5
+# The fixed schedule: the first refinement step (no entry of an orthonormal basis
+# exceeds 1), the share of the horizon before the tail window, the default grid size
+REFINE_SCALE = 0.3
+TAIL_FRACTION = 0.5
+SAMPLE_COUNT = 48
+# under this cap every step count that passes check_budget is below 2^53, where casts are exact
 MAX_COST_CAP = 1e15
 
 
@@ -33,27 +35,17 @@ class SubspaceSearchConfig:
     seed: int
     candidates: int = 24
     refine_rounds: int = 10
-    refine_scale: float = 0.3
-    tail_fraction: float = 0.5
-    sample_count: int = 48
     sample_times: Optional[Sequence] = None
     cost_cap: float = 5e7
 
     def __post_init__(self):
-        for name, low in (("candidates", 1), ("refine_rounds", 0), ("sample_count", 1)):
+        for name, low in (("candidates", 1), ("refine_rounds", 0)):
             if getattr(self, name) < low:
                 raise ValueError("%s must be at least %d, got %r" % (name, low, getattr(self, name)))
-        if self.sample_count > MAX_SAMPLE_COUNT:
-            raise ValueError("sample_count must be at most %d, got %r" % (MAX_SAMPLE_COUNT, self.sample_count))
         if not self.cost_cap <= MAX_COST_CAP:
             raise ValueError("cost_cap must be at most %g, got %r" % (MAX_COST_CAP, self.cost_cap))
-        # no entry of an orthonormal basis exceeds 1, so a larger step only swamps it
-        if not 0.0 < self.refine_scale <= 1.0:
-            raise ValueError("refine_scale must be positive and at most 1, got %r" % (self.refine_scale,))
         if self.sample_times is not None and len(self.sample_times) == 0:
             raise ValueError("sample_times must not be empty")
-        if not 0.0 <= self.tail_fraction <= 1.0:
-            raise ValueError("tail_fraction must lie in [0, 1], got %r" % (self.tail_fraction,))
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,8 @@ class AngularValueReport:
     For every variant the subspace part is a maximization, so the reported
     value is a lower bound for the corresponding supremum over the full
     Grassmannian (search_is_lower_bound).  tail_* fields describe the
-    winning candidate's Cesaro averages over the tail window.
+    winning candidate's Cesaro averages over the tail window, the samples
+    from horizon * TAIL_FRACTION on.
     """
 
     variant: str
@@ -93,22 +86,21 @@ def haar_basis(rng, d, s):
 
 def check_budget(d, s, config, steps_per_eval):
     """Refuse a search whose worst case exceeds the cost cap, before any work."""
-    evals = config.candidates + config.refine_rounds * 2 * d * s
-    # every evaluation takes at least one step; refusing a count above the
-    # cap first keeps counts beyond the float range out of the product
+    # in floats, which %g prints at any size; every evaluation takes at least
+    # one step, and refusing a count above the cap first keeps the product finite
+    evals = float(config.candidates) + float(config.refine_rounds) * 2 * d * s
     if evals > config.cost_cap or evals * steps_per_eval > config.cost_cap:
         raise BudgetExceeded(
-            "search needs up to %d evaluations x %g steps > cost cap %g" % (evals, steps_per_eval, config.cost_cap)
+            "search needs up to %g evaluations x %g steps > cost cap %g" % (evals, steps_per_eval, config.cost_cap)
         )
 
 
-def default_sample_times(horizon, count, discrete):
+def default_sample_times(horizon, discrete):
     """Logarithmic sample of [1, horizon], always containing the endpoint."""
     if discrete:
-        pts = np.unique(np.round(np.geomspace(1, horizon, count)).astype(int))
+        pts = np.unique(np.round(np.geomspace(1, horizon, SAMPLE_COUNT)).astype(int))
         return pts[pts >= 1]
-    pts = np.unique(np.geomspace(horizon * 1e-3, horizon, count))
-    return pts
+    return np.unique(np.geomspace(horizon * 1e-3, horizon, SAMPLE_COUNT))
 
 
 def _fold(variant, tail_table):
@@ -133,7 +125,7 @@ def run_search(evaluate, d, s, variant, horizon, times, config):
     if not 1 <= s <= d:
         raise ValueError("s must lie in 1..%d for a %d-dimensional system, got %r" % (d, d, s))
     times = np.asarray(times)
-    tail_mask = times >= horizon * config.tail_fraction
+    tail_mask = times >= horizon * TAIL_FRACTION
     if not np.any(tail_mask):
         tail_mask = np.zeros(len(times), dtype=bool)
         tail_mask[-1] = True
@@ -153,7 +145,7 @@ def run_search(evaluate, d, s, variant, horizon, times, config):
     best_basis = pool_bases[best]
     best_vals = pool_vals[best]
     best_stat = stat(best_vals)
-    scale = config.refine_scale
+    scale = REFINE_SCALE
     for _ in range(config.refine_rounds):
         improved = False
         for i in range(d):

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from angval.cli import load_matrix, main, save_matrix
+from angval.cli import _SEARCH_KEYS, load_matrix, main, save_matrix
 
 
 def write_config(tmp_path, name, cfg):
@@ -450,7 +451,7 @@ def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
         ("continuous", dict(_MODEL2D, s="1"), "s must"),
         ("discrete", dict(_IDENTITY, search={"candidates": 3.5}), "candidates must"),
         ("discrete", dict(_IDENTITY, search={"refine_rounds": True}), "refine_rounds must"),
-        ("continuous", dict(_MODEL2D, search={"sample_count": 12.25}), "sample_count must"),
+        ("continuous", dict(_MODEL2D, search={"candidates": 12.25}), "candidates must"),
         ("oracle", {"kind": "maxmin", "v": "v.csv", "w": "w.csv", "samples": 1000.5}, "samples must"),
         ("oracle", dict(_BIRKHOFF, horizon=250.5), "horizon must"),
     ],
@@ -503,6 +504,26 @@ def test_oracle_sizes_are_refused_before_work(tmp_path, capsys, monkeypatch, cfg
     assert message in captured.err and "value =" not in captured.out
 
 
+def test_readme_names_the_search_keys():
+    # the README sentence "`search` accepts ..." lists exactly the keys the CLI reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"`search` accepts (.*?)\.", readme, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(_SEARCH_KEYS)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("refine_scale", 0.3), ("refine_scale", -1), ("tail_fraction", 0.5), ("tail_fraction", 2.0),
+     ("sample_count", 48), ("sample_count", 1e9)],
+)
+def test_removed_search_keys_are_exit_2(tmp_path, capsys, key, value):
+    # the search schedule is fixed, so a former setting is refused at any value
+    path = write_config(tmp_path, "s.json", dict(_IDENTITY, search={key: value}))
+    assert main(["discrete", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert "unknown search settings: %s" % key in captured.err and "value =" not in captured.out
+
+
 @pytest.mark.parametrize("key", ["panels_3d", "qmc_power", "seed", "panels", "tau_panels", "t_points"])
 def test_removed_quad_keys_are_exit_2(tmp_path, capsys, key):
     path = write_config(tmp_path, "q.json", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {key: 8}})
@@ -551,11 +572,11 @@ _PLANAR = {"system": {"kind": "planar_rotation", "rho": 0.5, "phi": 0.3}, "horiz
         ("discrete", dict(_IDENTITY, s=0), "s must lie in 1..2"),
         ("discrete", dict(_IDENTITY, s=3), "s must lie in 1..2"),
         ("continuous", dict(_MODEL2D, s=0), "s must lie in 1..2"),
-        ("discrete", dict(_IDENTITY, search={"sample_count": 0}), "sample_count must be"),
-        ("continuous", dict(_MODEL2D, search={"sample_count": 0}), "sample_count must be"),
+        ("discrete", dict(_IDENTITY, search={"sample_count": 0}), "unknown search settings: sample_count"),
+        ("continuous", dict(_MODEL2D, search={"sample_count": 0}), "unknown search settings: sample_count"),
         ("discrete", dict(_IDENTITY, search={"sample_times": []}), "sample_times must not be empty"),
         ("continuous", dict(_MODEL2D, search={"sample_times": []}), "sample_times must not be empty"),
-        ("discrete", dict(_IDENTITY, search={"tail_fraction": 2.0}), "tail_fraction must lie"),
+        ("discrete", dict(_IDENTITY, search={"tail_fraction": 2.0}), "unknown search settings: tail_fraction"),
         ("discrete", dict(_IDENTITY, system={"kind": "cycle", "matrices": []}), "at least one matrix"),
         ("discrete", dict(_PLANAR, system=dict(_PLANAR["system"], rho=0)), "rho must be"),
         ("oracle", {"kind": "fd_derivative", "w": "w.csv", "wdot": "w.csv", "h": 0}, "h must be nonzero"),
@@ -587,7 +608,7 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         ("discrete", dict(_PLANAR, search={"candidates": 0}), 2, "candidates must be at least 1"),
         ("discrete", dict(_PLANAR, search={"candidates": -2}), 2, "candidates must be at least 1"),
         ("discrete", dict(_PLANAR, search={"refine_rounds": -1}), 2, "refine_rounds must be at least 0"),
-        ("discrete", dict(_PLANAR, search={"refine_scale": -1}), 2, "refine_scale must be positive"),
+        ("discrete", dict(_PLANAR, search={"refine_scale": -1}), 2, "unknown search settings: refine_scale"),
         ("discrete", dict(_IDENTITY, system={"kind": "constant", "matrix": 3}), 2, "expected a square matrix"),
         ("discrete", dict(_IDENTITY, system=[1, 2]), 2, "system must be a JSON object"),
         ("discrete", _CYCLE, 2, "all of one shape"),
@@ -599,7 +620,7 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         # refused before the sample-time indices overflow their integer cast
         ("continuous", dict(_MODEL2D, step=1e-300), 4, "x 1e+301 steps > cost cap"),
         ("discrete", dict(_IDENTITY, system={"kind": "cycle", "matrices": [np.eye(2).tolist()]},
-                          search={"refine_scale": 1e308}), 2, "refine_scale must be positive and at most 1"),
+                          search={"refine_scale": 1e308}), 2, "unknown search settings: refine_scale"),
         # refused before the step count overflows its integer cast
         ("continuous", dict(_MODEL2D, horizon=1e300, step=1e-300), 4, "is not a finite number of steps"),
         # refused before the discrete horizon or sample times overflow their integer casts
@@ -610,7 +631,7 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         ("discrete", dict(_PLANAR, system=dict(_PLANAR["system"], rho=True)), 2, "rho must be a finite number"),
         ("discrete", dict(_PLANAR, system=dict(_PLANAR["system"], phi="0.3")), 2, "phi must be a finite number"),
         ("continuous", dict(_MODEL2D, step="0.1"), 2, "step must be a finite number"),
-        ("discrete", dict(_PLANAR, search={"tail_fraction": True}), 2, "tail_fraction must be a finite number"),
+        ("discrete", dict(_PLANAR, search={"tail_fraction": True}), 2, "unknown search settings: tail_fraction"),
         ("discrete", dict(_PLANAR, search={"sample_times": ["10"]}), 2, "sample_times must be a finite number"),
         ("autonomous", {"blocks": [dict(_TWO_BLOCKS[0], rho="0.5")], "s": 1}, 2, "rho must be a finite number"),
         ("autonomous", {"resonant": dict(_RESONANT, omega1=True)}, 2, "omega1 must be a finite number"),
@@ -620,8 +641,8 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         # sweep grids are read by the same number reader: float() would take "0.7" and true
         ("sweep", dict(_SWEEP, kappa_grid=["0.7"], rho2_grid=[True]), 2, "kappa_grid must be a finite number"),
         ("sweep", dict(_SWEEP, rho2_grid=[0.5, None]), 2, "rho2_grid must be a finite number"),
-        # np.geomspace would allocate 7.45 GiB of sample times
-        ("discrete", dict(_PLANAR, horizon=100, search={"sample_count": 1e9}), 2, "sample_count must be at most"),
+        # the sample grid has a fixed size: a count of 1e9 asked np.geomspace for 7.45 GiB
+        ("discrete", dict(_PLANAR, horizon=100, search={"sample_count": 1e9}), 2, "unknown search settings: sample_count"),
         # a cost cap this large would pass a horizon whose sample times overflow their integer cast
         ("discrete", dict(_PLANAR, horizon=1e19, search={"cost_cap": 1e300}), 2, "cost_cap must be at most"),
         # (rho1 rho2)^2 underflowed to a division by zero (exit 1); at 1e-12 the
@@ -633,13 +654,26 @@ _CYCLE = {"system": {"kind": "cycle", "matrices": [np.eye(2).tolist(), np.eye(3)
         # both rules overflowed to a nan value, with exit 0
         ("sweep", dict(_SWEEP, omega1=1e308, kappa_grid=[0.5, 0.7]), 2, "exceeds the bound"),
         ("autonomous", {"resonant": dict(_RESONANT, omega1=1e308)}, 2, "exceeds the bound"),
-        ("autonomous", {"blocks": [dict(_TWO_BLOCKS[0], omega=1e308), _TWO_BLOCKS[1]], "s": 2, "override_gate": True},
+        ("autonomous", {"blocks": [dict(_TWO_BLOCKS[0], omega=1e308), _TWO_BLOCKS[1]], "s": 2},
          2, "exceeds the bound"),
-        # a count of 1e308 made the budget's product overflow: a traceback (exit 1) or a warning
+        # a count of 1e308 made the budget's product overflow: a traceback (exit 1) or a
+        # warning; then it printed all 309 digits of the count, which now reads 1e+308
         ("discrete", dict(_PLANAR, search={"refine_rounds": 1e308, "sample_times": [10]}), 4,
          "evaluations x 10 steps > cost cap"),
         ("discrete", dict(_PLANAR, search={"candidates": 1e308, "sample_times": [10]}), 4,
          "evaluations x 10 steps > cost cap"),
+        # the speed bounds come before the rational-independence gate, which read
+        # omega[2]/omega[1] ~ 1/1000... (309 digits) and exited 3
+        ("autonomous", {"blocks": [{"beta": 0.0, "omega": 1e308, "rho": 0.5}, {"beta": -1.0, "omega": 1.0, "rho": 0.5}],
+                        "s": 2}, 2, "exceeds the bound"),
+        # the oracle carried a collapsed basis (np.linalg.qr of a zero column is e1) and
+        # printed 0.0 with exit 0, or reached main as "SVD did not converge" with exit 2
+        ("oracle", dict(_BIRKHOFF, system={"kind": "constant", "matrix": [[0.0, 0.0], [0.0, 0.0]]}, horizon=3), 3,
+         "step 0 collapses the propagated subspace"),
+        ("oracle", dict(_BIRKHOFF, system={"kind": "cycle", "matrices": [np.eye(2).tolist(), [[0.0, 0.0], [0.0, 1.0]]]},
+                        horizon=3), 3, "step 1 collapses the propagated subspace"),
+        ("oracle", dict(_BIRKHOFF, time="continuous", system=dict(_MODEL2D["system"], omega=1e308), horizon=1.0,
+                        step=0.5), 3, "step 0 carries the basis to non-finite entries"),
     ],
 )
 def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, command, cfg, code, message):
@@ -647,6 +681,8 @@ def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, comma
     assert main([command, "--config", path]) == code
     captured = capsys.readouterr()
     assert message in captured.err and "value =" not in captured.out
+    if code == 4:  # counts print in %g form (1e+308 or inf), not as the 309 digits of an integer
+        assert not re.search(r"\d{20}", captured.err), captured.err
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -661,13 +697,10 @@ def test_rank_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
     assert "rank tolerance must be finite and >= 0" in captured.err and captured.out == ""
 
 
-# Small valid configs whose every key, at every nesting level, the property
+# Small valid configs whose every key and list entry, at every nesting level, the property
 # below replaces; together they hold the documented keys of discrete,
 # continuous, autonomous, sweep and oracle.
-_FUZZ_SEARCH = {
-    "candidates": 1, "refine_rounds": 0, "refine_scale": 0.3, "sample_count": 4,
-    "sample_times": [4, 8], "tail_fraction": 0.5, "cost_cap": 1e6,
-}
+_FUZZ_SEARCH = {"candidates": 1, "refine_rounds": 0, "sample_times": [4, 8], "cost_cap": 1e6}
 _FUZZ_SWEEP = dict(_SWEEP, kappa_grid=[0.5, 0.7], qmax=20)
 _FUZZ_BASES = [
     ("discrete", dict(_PLANAR, s=1, variant="sup-limsup", horizon=8, search=_FUZZ_SEARCH)),
@@ -689,9 +722,10 @@ _FUZZ_POOL = [0, -1, 1e300, 1e308, 1e-300, True, "1", [], {}, None, 1, 2]
 
 
 def _key_paths(cfg, prefix=()):
-    for key, value in cfg.items():
+    # every key of a dict and every entry of a list, at every nesting level
+    for key, value in cfg.items() if isinstance(cfg, dict) else enumerate(cfg):
         yield prefix + (key,)
-        if isinstance(value, dict):
+        if isinstance(value, (dict, list)):
             yield from _key_paths(value, prefix + (key,))
 
 

@@ -99,7 +99,7 @@ def test_angle_sum_collapsing_step_raises():
 
 def test_estimator_constant_rotation_all_variants():
     sys = DiscreteSystem.planar_rotation(rho=1.0, phi=0.3)
-    cfg = SubspaceSearchConfig(seed=0, candidates=4, refine_rounds=2, sample_count=16)
+    cfg = SubspaceSearchConfig(seed=0, candidates=4, refine_rounds=2)
     for variant in VARIANTS:
         rep = estimate_angular_value(sys, 1, variant, 400, cfg)
         assert rep.value == pytest.approx(0.3, abs=1e-9)
@@ -109,7 +109,7 @@ def test_estimator_constant_rotation_all_variants():
 def test_estimator_partial_order():
     for seed in range(3):
         sys = random_invertible_system(seed + 10, 3)
-        cfg = SubspaceSearchConfig(seed=seed, candidates=6, refine_rounds=2, sample_count=24)
+        cfg = SubspaceSearchConfig(seed=seed, candidates=6, refine_rounds=2)
         vals = {
             v: estimate_angular_value(sys, 1, v, 300, cfg).value for v in VARIANTS
         }
@@ -121,7 +121,7 @@ def test_estimator_partial_order():
 
 def test_estimator_deterministic_given_seed():
     sys = random_invertible_system(20, 2)
-    cfg = SubspaceSearchConfig(seed=7, candidates=5, refine_rounds=2, sample_count=12)
+    cfg = SubspaceSearchConfig(seed=7, candidates=5, refine_rounds=2)
     r1 = estimate_angular_value(sys, 1, "sup-limsup", 200, cfg)
     r2 = estimate_angular_value(sys, 1, "sup-limsup", 200, cfg)
     assert r1.value == r2.value
@@ -133,7 +133,7 @@ def test_estimator_matches_birkhoff_oracle_on_ergodic_line():
     sys = DiscreteSystem.planar_rotation(rho=0.5, phi=1.0)
     v = coordinate_subspace(2, [0])
     oracle = birkhoff_average(sys, v, horizon=4000)
-    cfg = SubspaceSearchConfig(seed=3, candidates=3, refine_rounds=0, sample_count=12)
+    cfg = SubspaceSearchConfig(seed=3, candidates=3, refine_rounds=0)
     rep = estimate_angular_value(sys, 1, "sup-limsup", 4000, cfg)
     assert rep.value == pytest.approx(oracle, abs=5e-3)
 
@@ -184,7 +184,7 @@ def test_asymptotically_orthogonal_transform_estimate_stability():
         return np.eye(2) + g / (1.0 + n)
 
     tsys = kinematic_transform(sys, q_seq)
-    cfg = SubspaceSearchConfig(seed=1, candidates=6, refine_rounds=4, sample_count=24)
+    cfg = SubspaceSearchConfig(seed=1, candidates=6, refine_rounds=4)
     a = estimate_angular_value(sys, 1, "sup-limsup", 2000, cfg).value
     b = estimate_angular_value(tsys, 1, "sup-limsup", 2000, cfg).value
     assert abs(a - b) <= 0.02
