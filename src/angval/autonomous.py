@@ -21,7 +21,7 @@ from .errors import (
     RankDeficient,
     RationalityDetected,
 )
-from .linalg import ComplexBlock, RealBlock, as_matrix, block_flow
+from .linalg import RANK_TOL, ComplexBlock, RealBlock, as_matrix, block_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,7 +131,7 @@ def _plateau_length(betas, start):
     return n
 
 
-def column_echelon(w, spec, tol=1e-10):
+def column_echelon(w, spec):
     """Reduce W to block column echelon form by column operations.
 
     Pivot positions and widths are unique; the span of the returned echelon
@@ -152,7 +152,7 @@ def column_echelon(w, spec, tol=1e-10):
             break
         rows = slice(off[bi], off[bi + 1])
         _, sigma, vt = np.linalg.svd(work[rows, c0:])
-        rank = int(np.sum(sigma > tol * scale))
+        rank = int(np.sum(sigma > RANK_TOL * scale))
         if rank == 0:
             work[rows, c0:] = 0.0
             continue
@@ -173,7 +173,7 @@ def column_echelon(w, spec, tol=1e-10):
     return EchelonStructure(tuple(pivots), tuple(widths), plateaus, w_inf, work)
 
 
-def w_infinity(w, spec, tol=1e-10):
+def w_infinity(w, spec):
     """Truncate W to the plateau rows of its echelon form.
 
     The flowed subspaces of W and of the result converge to each other in
@@ -182,7 +182,7 @@ def w_infinity(w, spec, tol=1e-10):
     """
     if not spec.has_isolated_real_parts():
         raise InvalidBlock("complex block real parts must be isolated")
-    return column_echelon(w, spec, tol).w_inf
+    return column_echelon(w, spec).w_inf
 
 
 def admissible_sets(s, spec, maximal_only=False):

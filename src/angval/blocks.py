@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StepUnstable
-from .linalg import singular_values
+from .errors import RankDeficient, StepUnstable
+from .linalg import qr, singular_values
 
 _MAX_BLOCK = 256
 _SEGMENT = 16
 _BLOCK_COND = 1e4
-_RANK_TOL = 1e-10  # qr_thin's default
 
 # overflow/invalid during a blown-up step is reported via StepUnstable, not
 # as a numpy warning
@@ -100,34 +99,18 @@ def _segment_blocks(chunks, size=_SEGMENT):
 def _carry(b0, blocks):
     """Yield (nodes, ends) for a stream of blocks (products, ends): the
     orthonormal bases the products reach from b0, padding dropped.  Each of
-    the K segments of a block starts from the end node of the one before."""
+    the K segments of a block starts from the end node of the one before.
+    A non-finite or rank-deficient basis raises StepUnstable."""
     q = b0
-    for prods, ends in blocks:
-        starts = [q]
-        for p in prods[:-1]:
-            start, r = np.linalg.qr(p[-1] @ starts[-1])
-            starts.append(start * np.sign(r.diagonal()))
-        # a lone segment needs no stack of starts
-        w = prods[0] @ q if len(prods) == 1 else (prods @ np.stack(starts)[:, None]).reshape(-1, *q.shape)
-        nodes = _orthonormalize(w)[: len(ends)]
-        yield nodes, ends
-        q = nodes[-1]
-
-
-def _orthonormalize(w):
-    """Orthonormal factor of a (d, s) basis or of each member of an (n, d, s)
-    stack, with diag R >= 0 and qr_thin's rank test; an overflowed or
-    rank-deficient basis raises StepUnstable."""
-    scale = np.sqrt(np.einsum("...ij,...ij->...", w, w))
-    if not np.isfinite(scale).all():
-        raise StepUnstable("propagated basis overflowed or has non-finite entries")
-    if w.shape[-1] == 1:
-        # one column: R is its norm, and the rank test is "nonzero column"
-        if not (scale > 0.0).all():
-            raise StepUnstable("propagated basis lost rank")
-        return w / scale[..., None, None]
-    q, r = np.linalg.qr(w)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if (np.abs(diag) <= _RANK_TOL * scale[..., None]).any():
-        raise StepUnstable("propagated basis lost rank")
-    return q * np.sign(diag)[..., None, :]
+    try:
+        for prods, ends in blocks:
+            starts = [q]
+            for p in prods[:-1]:
+                starts.append(qr(p[-1] @ starts[-1])[0])
+            # a lone segment needs no stack of starts
+            w = prods[0] @ q if len(prods) == 1 else (prods @ np.stack(starts)[:, None]).reshape(-1, *q.shape)
+            nodes = qr(w)[0][: len(ends)]
+            yield nodes, ends
+            q = nodes[-1]
+    except (RankDeficient, FloatingPointError) as exc:
+        raise StepUnstable("propagated basis: %s" % exc) from exc

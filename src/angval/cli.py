@@ -106,7 +106,6 @@ def _meta(args, config, **extra):
         "command": args.command,
         "seed": args.seed,
         "threads": args.threads,
-        "tol": args.tol,
         "degrees": args.degrees,
         "config": config,
     }
@@ -220,13 +219,13 @@ def build_search_config(cfg, seed):
     return SubspaceSearchConfig(seed=seed, **_settings(cfg, "search", _SEARCH_KEYS))
 
 
-def _subspace_pair(args, v, w):
-    """The subspaces spanned by the matrix files v and w, at --tol."""
-    return [subspace_from_spanning(load_matrix(path), tol=args.tol) for path in (v, w)]
+def _subspace_pair(v, w):
+    """The subspaces spanned by the matrix files v and w."""
+    return [subspace_from_spanning(load_matrix(path)) for path in (v, w)]
 
 
 def cmd_angles(args):
-    res = principal_angles(*_subspace_pair(args, args.v, args.w))
+    res = principal_angles(*_subspace_pair(args.v, args.w))
     scale = _angle_scale(args)
     rows = [
         (j + 1, float(phi * scale), float(math.cos(phi)), float(math.sin(phi)))
@@ -237,7 +236,7 @@ def cmd_angles(args):
 
 
 def cmd_metrics(args):
-    v, w = _subspace_pair(args, args.v, args.w)
+    v, w = _subspace_pair(args.v, args.w)
     scale = _angle_scale(args)
     rows = [
         ("d1", float(metric_d1(v, w) * scale)),
@@ -375,7 +374,7 @@ def cmd_oracle(args):
         if not 1 <= samples <= MAX_ORACLE_SAMPLES:
             # the oracle tabulates sqrt(samples)^2 doubles for planes
             raise ValueError("samples must be in 1..%d" % MAX_ORACLE_SAMPLES)
-        val = maxmin_angle(*_subspace_pair(args, cfg["v"], cfg["w"]), samples=samples, seed=args.seed)
+        val = maxmin_angle(*_subspace_pair(cfg["v"], cfg["w"]), samples=samples, seed=args.seed)
     elif kind == "birkhoff":
         time_kind = cfg.get("time", "discrete")
         if time_kind not in ("discrete", "continuous"):
@@ -412,7 +411,6 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, help="search / sampling seed")
     common.add_argument("--out", help="write CSV here (plus <out>.meta.json)")
     common.add_argument("--threads", type=int, default=None, help="worker threads")
-    common.add_argument("--tol", type=float, default=None, help="rank tolerance override")
     common.add_argument("--degrees", action="store_true", help="display angles in degrees")
 
     p = argparse.ArgumentParser(prog="angval", description=__doc__.splitlines()[0])

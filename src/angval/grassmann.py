@@ -52,13 +52,13 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def subspace_from_spanning(m, tol=None):
+def subspace_from_spanning(m):
     """Orthonormalize the columns of m and wrap them as a Subspace.
 
     Raises RankDeficient (from qr_thin) when the columns do not span an
-    s-dimensional subspace at the tolerance.
+    s-dimensional subspace at the tolerance linalg.RANK_TOL.
     """
-    q, _ = qr_thin(as_matrix(m), tol=tol)
+    q, _ = qr_thin(m)
     return Subspace(q)
 
 

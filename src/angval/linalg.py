@@ -36,14 +36,60 @@ def square_matrix(m):
     return a
 
 
-def qr_thin(m, tol=None):
-    """Thin QR factorization with a nonnegative diagonal of R.
+# The rank test of every orthonormal basis: a diagonal entry of R at most
+# RANK_TOL * ||w||_F means w has lost a column.
+RANK_TOL = 1e-10
+# Frobenius norms inside this range are summed from squares that neither
+# overflow nor go subnormal.
+_SAFE_SCALE = (2.0**-500, 2.0**500)
+
+
+def qr(w):
+    """Thin QR factorization w = q r of a (d, s) matrix, or of each member of
+    an (n, d, s) stack, with diag(r) >= 0.
+
+    A member whose Frobenius norm leaves _SAFE_SCALE is factored scaled by
+    an exact power of two, which changes no bit of q; r is scaled back, and
+    reads inf where ||w|| leaves the float range.  Raises RankDeficient if
+    a diagonal entry of r is at most RANK_TOL * ||w||_F, and
+    FloatingPointError if w has a non-finite entry.
+    """
+    scale = np.sqrt(np.einsum("...ij,...ij->...", w, w))
+    exp = None
+    # count_nonzero is the cheapest all() and any() on a few entries
+    if np.count_nonzero((scale >= _SAFE_SCALE[0]) & (scale <= _SAFE_SCALE[1])) < scale.size:
+        if not np.isfinite(w).all():
+            raise FloatingPointError("matrix has non-finite entries")
+        # the largest entry of each member moves into [1/2, 1)
+        exp = np.frexp(np.abs(w).max(axis=(-2, -1)))[1][..., None, None]
+        w = np.ldexp(w, -exp)
+        scale = np.sqrt(np.einsum("...ij,...ij->...", w, w))
+        if not scale.all():
+            raise RankDeficient("zero matrix")
+    if w.shape[-1] == 1:
+        # one column: R is its norm, and the rank test is "nonzero column",
+        # which the range test has passed
+        q, r = w / scale[..., None, None], scale[..., None, None]
+    else:
+        q, r = np.linalg.qr(w)
+        diag = r.diagonal(0, -2, -1)
+        # the transpose puts the members last, against their scales
+        if np.count_nonzero(np.abs(diag).T <= RANK_TOL * scale):
+            raise RankDeficient("rank-deficient matrix at tolerance %g" % RANK_TOL)
+        sign = np.sign(diag)
+        q, r = q * sign[..., None, :], r * sign[..., :, None]
+    if exp is not None:
+        with np.errstate(over="ignore"):
+            r = np.ldexp(r, exp)
+    return q, r
+
+
+def qr_thin(m):
+    """Thin QR factorization of one matrix with a nonnegative diagonal of R.
 
     Parameters
     ----------
-    m : (d, s) array_like, d >= s
-    tol : float, optional
-        Rank tolerance relative to ||m||, finite and >= 0.  Defaults to 1e-10.
+    m : (d, s) array_like of finite entries, d >= s >= 1
 
     Returns
     -------
@@ -53,34 +99,12 @@ def qr_thin(m, tol=None):
     Raises
     ------
     RankDeficient
-        If any diagonal entry of R falls below tol * ||m||.
+        If any diagonal entry of R is at most RANK_TOL * ||m||_F.
     """
     a = as_matrix(m)
-    d, s = a.shape
-    if d < s:
-        raise ValueError("qr_thin needs d >= s, got shape %s" % (a.shape,))
-    if tol is None:
-        tol = 1e-10
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("rank tolerance must be finite and >= 0, got %r" % (tol,))
-    if s == 1:
-        # One column: QR is just normalization; ||m|| is the column norm, so
-        # the rank check degenerates to "nonzero column".
-        nrm = float(np.linalg.norm(a[:, 0]))
-        if nrm == 0.0:
-            raise RankDeficient("zero column at tolerance %g" % tol)
-        q = a / nrm
-        return q, np.array([[nrm]])
-    q, r = np.linalg.qr(a)
-    # Fix signs so that diag(r) >= 0; the thin factorization is then unique
-    # for full-rank input (a zero diagonal fails the rank test below).
-    signs = np.sign(np.diag(r))
-    q = q * signs
-    r = signs[:, None] * r
-    scale = float(np.linalg.norm(a))
-    if np.any(np.abs(np.diag(r)) <= tol * scale):
-        raise RankDeficient("rank-deficient matrix at tolerance %g" % tol)
-    return q, r
+    if not 1 <= a.shape[1] <= a.shape[0]:
+        raise ValueError("qr_thin needs d >= s >= 1, got shape %s" % (a.shape,))
+    return qr(a)
 
 
 @dataclass(frozen=True)
@@ -123,8 +147,7 @@ def spectral_norm(m):
     a = as_matrix(m)
     if min(a.shape) == 0:
         return 0.0
-    if min(a.shape) == 1:
-        return float(np.linalg.norm(a))
+    # dgesdd scales a matrix whose squares would overflow or underflow
     return float(singular_values(a)[0])
 
 

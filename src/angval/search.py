@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
+from .linalg import qr
 
 VARIANTS = ("sup-limsup", "sup-liminf", "limsup-sup", "liminf-sup")
 # The fixed schedule: the first refinement step (no entry of an orthonormal basis
@@ -73,15 +74,9 @@ class AngularValueReport:
     search_is_lower_bound: bool = True
 
 
-def _orthonormal(m):
-    # QR with the signs of R's diagonal moved into Q, so Q depends on m only
-    q, r = np.linalg.qr(m)
-    return q * np.sign(np.diag(r))
-
-
 def haar_basis(rng, d, s):
     """Orthonormal basis drawn from the rotation-invariant distribution."""
-    return _orthonormal(rng.standard_normal((d, s)))
+    return qr(rng.standard_normal((d, s)))[0]
 
 
 def check_budget(d, s, config, steps_per_eval):
@@ -153,7 +148,7 @@ def run_search(evaluate, d, s, variant, horizon, times, config):
                 for sign in (1.0, -1.0):
                     trial = best_basis.copy()
                     trial[i, j] += sign * scale
-                    q = _orthonormal(trial)
+                    q = qr(trial)[0]
                     vals = np.asarray(evaluate(q))
                     evaluations += 1
                     st = stat(vals)

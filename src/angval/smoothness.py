@@ -11,7 +11,7 @@ import numpy as np
 from .continuous import _speeds
 from .errors import RankDeficient, SingularMatrix
 from .grassmann import max_angle, subspace_from_spanning
-from .linalg import as_matrix, rotation, singular_values, spectral_norm, svd
+from .linalg import RANK_TOL, as_matrix, rotation, singular_values, spectral_norm, svd
 
 # Lipschitz constant of V -> angle(SV, W) in ||S - I||.
 LIPSCHITZ_CONSTANT = math.pi / 2.0 + math.sqrt(math.pi**2 / 4.0 + 1.0)
@@ -39,7 +39,7 @@ def _report(lhs, bound, constants):
     return BoundReport(lhs=lhs, bound=bound, satisfied=lhs <= bound + 1e-12, constants=constants)
 
 
-def angle_derivative_right(point, tol=1e-10):
+def angle_derivative_right(point):
     """Right derivative of t -> angle(span W(tau), span W(t)) at t = tau.
 
     Evaluates ||(I - P) Wdot (W^T W)^(-1/2)|| in the spectral norm, with P
@@ -50,7 +50,7 @@ def angle_derivative_right(point, tol=1e-10):
     w = as_matrix(point.w)
     wdot = as_matrix(point.wdot)
     f = svd(w)
-    if f.sigma[-1] <= tol * max(f.sigma[0], 1.0):
+    if f.sigma[-1] <= RANK_TOL * max(f.sigma[0], 1.0):
         raise RankDeficient("curve basis is rank deficient")
     b = f.y  # orthonormal basis of span W
     whiten = (f.z / f.sigma) @ f.z.T  # (W^T W)^(-1/2)

@@ -173,6 +173,34 @@ def test_derivative_unit_rotation(tmp_path, capsys):
     assert abs(value_from(capsys) - 1.0) < 1e-12
 
 
+_LINE = [[1.0], [0.0]]
+_HUGE_AND_TINY = 1e308, 1e-200
+_BIG_PLANE = [[1e308, 1e308], [1e308, -1e308], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "command,v,w,want",
+    [
+        # the derivative read sigma_max of a one-column matrix from a norm
+        # that overflowed to inf (with a RuntimeWarning) or underflowed to 0
+        *(("derivative", _LINE, [[x], [x]], [x]) for x in _HUGE_AND_TINY),
+        # finite spanning sets were normalized by a norm that overflowed
+        # (exit 2, with a RuntimeWarning) or underflowed (exit 3)
+        *((command, _LINE, [[x], [x]], [math.pi / 4]) for command in ("angles", "metrics") for x in _HUGE_AND_TINY),
+        ("angles", np.eye(3, 2), _BIG_PLANE, [0.0, 0.0]),
+        ("metrics", np.eye(3, 2), _BIG_PLANE, [0.0]),
+    ],
+)
+def test_huge_and_tiny_spanning_sets_are_read_exactly(tmp_path, capsys, command, v, w, want):
+    save_matrix(tmp_path / "v.csv", np.array(v))
+    save_matrix(tmp_path / "w.csv", np.array(w))
+    assert main([command, str(tmp_path / "v.csv"), str(tmp_path / "w.csv")]) == 0
+    _, rows = csv_rows(capsys.readouterr().out.split("value =")[0])
+    # the derivative, each angle phi_j, or the metric d1
+    got = [float(row[-1 if command == "derivative" else 1]) for row in rows][: len(want)]
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_discrete_identity_is_zero(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -686,15 +714,18 @@ def test_malformed_systems_and_search_inputs_are_refused(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_rank_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
-    # a negative or nan tolerance passed a rank-1 V as a plane; inf refused every V
+def test_removed_tol_flag_is_exit_2(tmp_path, capsys, tol):
+    # the rank tolerance is the constant linalg.RANK_TOL; a negative or nan
+    # --tol once passed a rank-1 V as a plane, and inf refused every V
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     save_matrix(a, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
     save_matrix(b, np.eye(3, 2))
-    assert main(["angles", str(a), str(b), "--tol", tol]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["angles", str(a), str(b), "--tol", tol])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "rank tolerance must be finite and >= 0" in captured.err and captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err and captured.out == ""
 
 
 # Small valid configs whose every key and list entry, at every nesting level, the property
@@ -765,4 +796,44 @@ def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, capsys, 
             x = float(token)
         except ValueError:
             continue  # a header, tag or label
+        assert math.isfinite(x), out
+
+
+# A line pair and a plane pair whose every entry, in either file, the property
+# below replaces; `derivative` reads the pair as W and Wdot.
+_FUZZ_MATRICES = [
+    (np.array(_LINE), np.array([[math.cos(0.3)], [math.sin(0.3)]])),
+    (np.eye(3, 2), np.array([[1.0, 0.5], [0.2, 1.0], [0.3, -0.4]])),
+]
+_FUZZ_ENTRIES = [
+    (command, pair, k, index)
+    for command in ("angles", "metrics", "derivative")
+    for pair, mats in enumerate(_FUZZ_MATRICES)
+    for k in (0, 1)
+    for index in np.ndindex(mats[k].shape)
+]
+_FUZZ_ENTRY_POOL = [0.0, 1e308, -1e308, 1e-200, 5e-324, math.nan]
+
+
+@settings(max_examples=300, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FUZZ_ENTRIES), st.sampled_from(_FUZZ_ENTRY_POOL))
+def test_every_matrix_entry_maps_to_an_exit_code(tmp_path, capsys, case, value):
+    # one entry of a matrix file replaced by zero, a huge, tiny, subnormal
+    # or nan value: main reports it by an exit code, raises nothing, warns
+    # nothing, and prints no nan or inf when it exits 0
+    capsys.readouterr()
+    command, pair, k, index = case
+    mats = [m.copy() for m in _FUZZ_MATRICES[pair]]
+    mats[k][index] = value
+    paths = [str(tmp_path / name) for name in ("v.csv", "w.csv")]
+    for path, m in zip(paths, mats):
+        save_matrix(path, m)
+    code = main([command, *paths])
+    assert code in (0, 2, 3, 4)
+    out = capsys.readouterr().out
+    for token in re.split(r"[,\s=]+", out) if code == 0 else ():
+        try:
+            x = float(token)
+        except ValueError:
+            continue  # a header or label
         assert math.isfinite(x), out

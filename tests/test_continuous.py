@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from angval.blocks import _MAX_BLOCK, _SEGMENT, _orthonormalize
+from angval.blocks import _MAX_BLOCK, _SEGMENT
 from angval.continuous import (
     ContinuousSystem,
     _speeds,
@@ -21,7 +21,7 @@ from angval.continuous import (
 )
 from angval.errors import StepUnstable
 from angval.grassmann import Subspace, max_angle, subspace_from_spanning
-from angval.linalg import ComplexBlock
+from angval.linalg import ComplexBlock, qr
 from angval.search import SubspaceSearchConfig
 from angval.smoothness import angle_derivative_flow
 
@@ -220,7 +220,7 @@ def _stepwise(gen, h, b0, nsteps):
         k3 = amid @ (b + (0.5 * h) * k2)
         a = gen(t + h)
         k4 = a @ (b + h * k3)
-        b = _orthonormalize(b + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        b = qr(b + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[0]
     return bases, integrand
 
 

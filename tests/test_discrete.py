@@ -290,10 +290,16 @@ def test_block_path_matches_stepwise(orbit):
     assert abs(angle_sum(sys, subspace_from_spanning(b0), m, n) - window) <= 1e-10 * max(abs(window), 1.0)
 
 
+def _count_stacked_qrs(monkeypatch):
+    # the length of each stack of nodes the carrier orthonormalizes; a
+    # segment start is a single basis and is not counted
+    calls, kernel = [], blocks.qr
+    monkeypatch.setattr(blocks, "qr", lambda w: (w.ndim == 3 and calls.append(len(w))) or kernel(w))
+    return calls
+
+
 def test_constant_orthogonal_map_is_one_block(monkeypatch):
-    calls = []
-    orthonormalize = blocks._orthonormalize
-    monkeypatch.setattr(blocks, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
+    calls = _count_stacked_qrs(monkeypatch)
     q = random_orthogonal(np.random.default_rng(2), 5)
     v = haar_subspace(np.random.default_rng(3), 5, 2)
     angle_sum(DiscreteSystem.constant(q), v, 1, _MAX_BLOCK)
@@ -304,9 +310,8 @@ def test_well_conditioned_cycle_is_one_batch_per_chunk(monkeypatch):
     # segments that pass the condition test are propagated a chunk at a
     # time, so the cost of a step does not depend on where cond would cut;
     # the angles between consecutive nodes are one kernel call per block
-    calls, kernel_calls = [], []
-    orthonormalize, kernel = blocks._orthonormalize, grassmann.max_angles
-    monkeypatch.setattr(blocks, "_orthonormalize", lambda w: calls.append(len(w)) or orthonormalize(w))
+    calls, kernel_calls = _count_stacked_qrs(monkeypatch), []
+    kernel = grassmann.max_angles
     monkeypatch.setattr(grassmann, "max_angles", lambda b1, b2: kernel_calls.append(len(b2)) or kernel(b1, b2))
     rng = np.random.default_rng(4)
     mats = [random_orthogonal(rng, 3) @ np.diag(rng.uniform(0.5, 2.0, 3)) for _ in range(8)]
