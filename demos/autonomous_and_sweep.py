@@ -29,7 +29,6 @@ cells = hairy_sweep(
     1.0 / 3.0,
     kappa_grid=[0.45, 0.455, 0.5, 0.505, 2.0 / 3.0, 1.0 / math.sqrt(2.0)],
     rho2_grid=[0.25],
-    threads=2,
 )
 print("\nkappa      tag         value")
 for c in cells:

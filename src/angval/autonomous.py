@@ -143,7 +143,9 @@ def column_echelon(w, spec):
         raise ValueError("basis rows do not match the spec dimension")
     if not 1 <= s <= d:
         raise ValueError("need 1 <= columns <= dim")
-    scale = max(float(np.linalg.norm(work)), 1.0)
+    # ||W||_F, summed at the exact power of two that keeps its squares in range
+    exp = int(np.frexp(np.abs(work).max())[1])
+    scale = math.ldexp(float(np.linalg.norm(np.ldexp(work, -exp))), exp)
     off = spec.offsets
     pivots, widths = [], []
     c0 = 0

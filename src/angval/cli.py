@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .grassmann import (
 from .linalg import ComplexBlock, RealBlock, as_matrix
 from .oracles import birkhoff_average, fd_angle_derivative, maxmin_angle
 from .search import SubspaceSearchConfig
-from .semicontinuity import _resolve_threads, hairy_sweep
+from .semicontinuity import hairy_sweep
 from .smoothness import CurvePoint, angle_derivative_right
 
 EXIT_OK = 0
@@ -57,7 +58,10 @@ def load_matrix(path):
         if len(parts) != 2:
             raise ValueError("%s: malformed matrix header %r" % (path, header.strip()))
         rows, cols = int(parts[0]), int(parts[1])
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a file with no data rows is refused below, by its shape
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (rows, cols):
         raise ValueError(
             "%s: header promises %dx%d but data is %dx%d"
@@ -105,7 +109,6 @@ def _meta(args, config, **extra):
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "threads": args.threads,
         "degrees": args.degrees,
         "config": config,
     }
@@ -333,7 +336,6 @@ def cmd_sweep(args):
         kappa_grid=_numbers("kappa_grid", cfg["kappa_grid"]) if "kappa_grid" in cfg else None,
         rho2_grid=_numbers("rho2_grid", cfg["rho2_grid"]) if "rho2_grid" in cfg else None,
         qmax=_integral("qmax", cfg.get("qmax", 20)),
-        threads=args.threads,
     )
     rows = []
     for c in cells:
@@ -350,19 +352,12 @@ def cmd_sweep(args):
             )
         )
     headers = ("kappa", "rho2", "tag", "p", "q", "value", "t_argmax", "err_estimate")
-    # per-cell seconds summed by kind; above one thread the sums exceed the wall time
+    # per-cell seconds summed by kind; with one worker their total stays below the wall time
     kinds = {kind: {"cells": 0, "seconds": 0.0} for kind in ("rational", "irrational")}
     for c in cells:
         kinds[c.tag.kind]["cells"] += 1
         kinds[c.tag.kind]["seconds"] += c.seconds
-    meta = _meta(
-        args,
-        cfg,
-        cells=len(rows),
-        cells_by_kind=kinds,
-        threads=_resolve_threads(args.threads, len(rows)),
-    )
-    _emit(args, headers, rows, meta)
+    _emit(args, headers, rows, _meta(args, cfg, cells=len(rows), cells_by_kind=kinds))
     return EXIT_OK
 
 
@@ -410,7 +405,7 @@ def build_parser():
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, default=0, help="search / sampling seed")
     common.add_argument("--out", help="write CSV here (plus <out>.meta.json)")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
+    common.add_argument("--threads", type=int, default=None, help="retired: only 1 is accepted")
     common.add_argument("--degrees", action="store_true", help="display angles in degrees")
 
     p = argparse.ArgumentParser(prog="angval", description=__doc__.splitlines()[0])
@@ -447,7 +442,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.threads = _resolve_threads(args.threads)
+        if args.threads not in (None, 1):
+            raise ValueError("--threads takes only 1, got %d: the sweep runs one worker" % args.threads)
         return args.func(args)
     except AngvalError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -13,9 +13,7 @@ rational spikes make the "hairy" dataset.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -220,18 +218,6 @@ def build_rho2_grid():
     return sorted([k / 10.0 for k in range(1, 11)] + [0.25])
 
 
-def _resolve_threads(threads, jobs=math.inf):
-    """Worker threads: `threads`, else ANGVAL_THREADS, else 1, clamped to
-    the number of jobs and of CPUs, beyond which threads would only wait."""
-    if threads is None:
-        env = os.environ.get("ANGVAL_THREADS") or "1"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError("ANGVAL_THREADS=%r is not an integer" % env) from None
-    return max(min(int(threads), os.cpu_count() or 1, jobs), 1)
-
-
 def _sweep_cell(omega1, rho1, kappa, rho2, tag):
     t0 = time.perf_counter()
     if tag.rational:
@@ -268,9 +254,12 @@ def hairy_sweep(
     kappa = omega2/omega1 is tagged rational when a fraction p/q with
     q <= qmax matches it to grid precision; those cells evaluate the
     resonant sup-of-line formula, all others the independent-frequency
-    torus mean.  Cells are independent; results come back in
-    (kappa, rho2) lexicographic order regardless of thread count.
+    torus mean.  The cells run one after another in (kappa, rho2)
+    lexicographic order, which is the order of the result.  threads is a
+    retired setting: None and 1 are accepted, any other value is refused.
     """
+    if threads not in (None, 1):
+        raise ValueError("threads must be 1, got %r: the sweep runs one worker" % (threads,))
     if not (math.isfinite(omega1) and omega1 > 0):
         raise ValueError("omega1 must be positive and finite, got %r" % (omega1,))
     if not 0.0 < rho1 <= 1.0:
@@ -288,15 +277,4 @@ def hairy_sweep(
         tag = classify_ratio(kappa, qmax=qmax)
         for rho2 in sorted(float(r) for r in rho2_grid):
             jobs.append((kappa, rho2, tag))
-    nthreads = _resolve_threads(threads, len(jobs))
-    if nthreads == 1:
-        return [
-            _sweep_cell(omega1, rho1, kappa, rho2, tag)
-            for kappa, rho2, tag in jobs
-        ]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futs = [
-            pool.submit(_sweep_cell, omega1, rho1, kappa, rho2, tag)
-            for kappa, rho2, tag in jobs
-        ]
-        return [f.result() for f in futs]
+    return [_sweep_cell(omega1, rho1, kappa, rho2, tag) for kappa, rho2, tag in jobs]

@@ -45,17 +45,21 @@ def angle_derivative_right(point):
     Evaluates ||(I - P) Wdot (W^T W)^(-1/2)|| in the spectral norm, with P
     the orthogonal projector onto span W.  The left derivative is the
     negative of this value.  Invariant under basis reparametrizations
-    W -> W G(t) with G invertible.
+    W -> W G(t) with G invertible.  Raises RankDeficient if sigma_min(W) <=
+    RANK_TOL * sigma_max(W), and SingularMatrix if the value overflows.
     """
     w = as_matrix(point.w)
     wdot = as_matrix(point.wdot)
     f = svd(w)
-    if f.sigma[-1] <= RANK_TOL * max(f.sigma[0], 1.0):
+    if f.sigma[-1] <= RANK_TOL * f.sigma[0]:
         raise RankDeficient("curve basis is rank deficient")
     b = f.y  # orthonormal basis of span W
-    whiten = (f.z / f.sigma) @ f.z.T  # (W^T W)^(-1/2)
-    m = wdot @ whiten
-    m = m - b @ (b.T @ m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whiten = (f.z / f.sigma) @ f.z.T  # (W^T W)^(-1/2)
+        m = wdot @ whiten
+        m = m - b @ (b.T @ m)
+    if not np.isfinite(m).all():
+        raise SingularMatrix("the derivative leaves the float range")
     return spectral_norm(m)
 
 

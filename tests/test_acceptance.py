@@ -296,7 +296,7 @@ def test_criterion_08_invariance(capsys):
 
 def test_criterion_09_semicontinuity_dataset(capsys):
     t0 = time.time()
-    cells = hairy_sweep(1.0, 1.0 / 3.0, threads=4)
+    cells = hairy_sweep(1.0, 1.0 / 3.0)
     elapsed = time.time() - t0
     by_rho = {}
     for c in cells:

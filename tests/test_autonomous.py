@@ -122,6 +122,20 @@ def test_echelon_preserves_span():
     assert metric_d2(v, u) < 1e-9
 
 
+@pytest.mark.parametrize("exp", [-600, 600])
+def test_echelon_is_invariant_under_scaling(exp):
+    # the rank test is relative to ||W||_F: a tiny basis is not rank
+    # deficient, and a huge one does not overflow the norm
+    rng = np.random.default_rng(2)
+    spec = a4_spec()
+    for w in (e(0), np.hstack([e(0), e(1)]), np.hstack([e(0), e(2)]), np.hstack([e(2), e(3)]),
+              rng.standard_normal((4, 2)), np.hstack([e(0) + 1e-12 * e(2), e(2)])):
+        ref = column_echelon(w, spec)
+        ech = column_echelon(np.ldexp(w, exp), spec)
+        assert ech.pivots == ref.pivots and ech.widths == ref.widths
+        assert metric_d2(subspace_from_spanning(ref.echelon), subspace_from_spanning(ech.echelon)) < 1e-12
+
+
 def test_echelon_rank_deficient():
     spec = a4_spec()
     w = np.hstack([e(0), e(0)])

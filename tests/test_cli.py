@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from angval.cli import _SEARCH_KEYS, load_matrix, main, save_matrix
+from angval.cli import _SEARCH_KEYS, build_parser, load_matrix, main, save_matrix
 
 
 def write_config(tmp_path, name, cfg):
@@ -189,6 +190,9 @@ _BIG_PLANE = [[1e308, 1e308], [1e308, -1e308], [0.0, 0.0]]
         *((command, _LINE, [[x], [x]], [math.pi / 4]) for command in ("angles", "metrics") for x in _HUGE_AND_TINY),
         ("angles", np.eye(3, 2), _BIG_PLANE, [0.0, 0.0]),
         ("metrics", np.eye(3, 2), _BIG_PLANE, [0.0]),
+        # the rank test is relative to sigma_max(W), so a tiny W is a
+        # full-rank basis; the derivative scales with 1/W
+        ("derivative", [[1e-200], [0.0]], [[0.0], [1.0]], [1e200]),
     ],
 )
 def test_huge_and_tiny_spanning_sets_are_read_exactly(tmp_path, capsys, command, v, w, want):
@@ -199,6 +203,32 @@ def test_huge_and_tiny_spanning_sets_are_read_exactly(tmp_path, capsys, command,
     # the derivative, each angle phi_j, or the metric d1
     got = [float(row[-1 if command == "derivative" else 1]) for row in rows][: len(want)]
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "w,wdot",
+    [
+        ([[5e-324], [0.0]], [[0.3], [0.9]]),  # 1/sigma_min(W) overflows
+        ([[0.5], [0.0]], [[1e308], [1e308]]),  # Wdot (W^T W)^(-1/2) overflows
+    ],
+)
+def test_derivative_beyond_the_float_range_is_exit_3(tmp_path, capsys, w, wdot):
+    save_matrix(tmp_path / "w.csv", np.array(w))
+    save_matrix(tmp_path / "wd.csv", np.array(wdot))
+    assert main(["derivative", str(tmp_path / "w.csv"), str(tmp_path / "wd.csv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: the derivative leaves the float range\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("header", ["# 3 0", "# 0 0"])
+def test_header_only_matrix_file_is_one_error_line(tmp_path, capsys, header):
+    # numpy's "input contained no data" warning stays off stderr
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header + "\n")
+    save_matrix(tmp_path / "good.csv", np.eye(3, 1))
+    assert main(["angles", str(empty), str(tmp_path / "good.csv")]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: [^\n]*header promises [^\n]*\n", captured.err) and captured.out == ""
 
 
 def test_discrete_identity_is_zero(tmp_path, capsys):
@@ -309,10 +339,13 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     )
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "1"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+    # the sweep runs one worker: any other count is refused
+    assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 2
+    capsys.readouterr()
     headers, rows = csv_rows(out1.read_text())
     assert headers == ["kappa", "rho2", "tag", "p", "q", "value", "t_argmax", "err_estimate"]
     rational = rows[0]
@@ -387,12 +420,11 @@ def test_env_threads_fallback(tmp_path, capsys, monkeypatch):
             "rho2_grid": [0.5],
         },
     )
-    monkeypatch.setenv("ANGVAL_THREADS", "2")
-    assert main(["sweep", "--config", cfg]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("ANGVAL_THREADS", "lots")
-    assert main(["sweep", "--config", cfg]) == 2
-    assert "ANGVAL_THREADS" in capsys.readouterr().err
+    # ANGVAL_THREADS is no longer read, at any value
+    for env in ("2", "lots"):
+        monkeypatch.setenv("ANGVAL_THREADS", env)
+        assert main(["sweep", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
@@ -418,16 +450,31 @@ def test_continuous_nan_matrix_is_exit_2(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
-def test_sweep_meta_records_clamped_threads(tmp_path, capsys):
+def test_sweep_meta_has_no_threads_key(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "s.json",
         {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5]},
     )
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "64"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
     capsys.readouterr()
-    assert json.loads((tmp_path / "s.csv.meta.json").read_text())["threads"] == 1
+    assert "threads" not in json.loads((tmp_path / "s.csv.meta.json").read_text())
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "2", "64"])
+@pytest.mark.parametrize("command", ["sweep", "angles"])
+def test_threads_other_than_one_is_exit_2(tmp_path, capsys, command, threads):
+    # --threads is a retired setting: the sweep runs one worker, and the
+    # flag is refused before any subcommand starts
+    cfg = write_config(tmp_path, "s.json", {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5]})
+    v = str(tmp_path / "v.csv")
+    save_matrix(v, np.eye(2, 1))
+    argv = {"sweep": ["sweep", "--config", cfg], "angles": ["angles", v, v]}[command]
+    assert main(argv + ["--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --threads takes only 1, got %s: the sweep runs one worker\n" % threads
+    assert captured.out == ""
 
 
 _TWO_BLOCKS = [
@@ -530,6 +577,18 @@ def test_oracle_sizes_are_refused_before_work(tmp_path, capsys, monkeypatch, cfg
     assert main(["oracle", "--config", path]) == code
     captured = capsys.readouterr()
     assert message in captured.err and "value =" not in captured.out
+
+
+def test_readme_names_the_common_flags():
+    # the README sentence "Common flags on every subcommand: ..." names exactly
+    # the options that every subcommand's parser shares
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Common flags on every subcommand: (.*?)\.\s", readme, re.S).group(1)
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shared = set.intersection(
+        *({flag for action in sp._actions for flag in action.option_strings} for sp in subcommands.choices.values())
+    )
+    assert sorted(re.findall(r"`(--[\w-]+)", sentence)) == sorted(shared - {"-h", "--help"})
 
 
 def test_readme_names_the_search_keys():
