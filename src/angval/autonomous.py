@@ -273,9 +273,10 @@ def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
     return GateVerdict(independent=not witnesses, witnesses=tuple(witnesses))
 
 
-# The resonant line is sampled at T_POINTS equally spaced t in [0, 2 pi);
-# each t takes a crossing grid of 8 max(p, q) cells, so max(p, q) is bounded
-# to keep that work within 2^20 cells
+# T_POINTS grid steps span the resonant line's period 2 pi: its domain
+# [0, pi/(2p)] is sampled no coarser, and the CLI writes L at the T_POINTS
+# t of [0, 2 pi).  Each t takes a crossing grid of 8 max(p, q) cells, so
+# max(p, q) is bounded to keep the full grid within 2^20 cells
 T_POINTS = 720
 MAX_ORDER = 2**20 // T_POINTS
 # What the torus and resonant rules carry: below MIN_RHO the speed band
@@ -648,14 +649,11 @@ def resonant_line(omega1, p, q, rho1, rho2, t):
 
 def _maximize(line, ts, ls, slopes, errs, k0):
     # safeguarded secant (Illinois) on L' in the grid cell on the side of the
-    # coarse maximizer k0 toward which L rises: (value, t, error) of the best
-    # point evaluated, k0 included
-    nt, dt = len(ts), TWO_PI / len(ts)
+    # coarse maximizer k0 toward which L rises, the domain's end cell if there
+    # is none: (value, t, error) of the best point evaluated, k0 included
     best = (ls[k0], ts[k0], errs[k0])
-    if slopes[k0] >= 0.0:
-        a, fa, b, fb = ts[k0], slopes[k0], ts[k0] + dt, slopes[(k0 + 1) % nt]
-    else:
-        a, fa, b, fb = ts[k0] - dt, slopes[k0 - 1], ts[k0], slopes[k0]
+    k = min(max(k0 - (slopes[k0] < 0.0), 0), len(ts) - 2)
+    a, fa, b, fb = ts[k], slopes[k], ts[k + 1], slopes[k + 1]
 
     def small(f):
         # what is left to gain from a point of slope f, about f^2 / 2|L''|, is below rounding
@@ -668,10 +666,9 @@ def _maximize(line, ts, ls, slopes, errs, k0):
         x = b - fb * (b - a) / (fb - fa)
         if not a < x < b:
             x = 0.5 * (a + b)
-        tx = x % TWO_PI if x % TWO_PI < TWO_PI else 0.0
-        lx, fx, ex = line([tx])[:, 0]
+        lx, fx, ex = line([x])[:, 0]
         if lx > best[0]:
-            best = (lx, tx, ex)
+            best = (lx, x, ex)
         if small(fx):
             break
         if fx > 0.0:
@@ -690,21 +687,18 @@ def angular_value_resonant_4d(omega1, p, q, rho1, rho2):
     sup over t in [0, 2pi] of the line L(t), the orbit mean of
     max(E1(t + tau), E2(kappa tau)).
 
-    L is exact at every t (from the crossings of the two speeds).  It is
-    sampled at T_POINTS equally spaced t, and the sup is located by a
-    safeguarded secant on L' next to the first grid maximizer.  `error`
-    bounds the error of L at t_argmax.  max(p, q) is at most MAX_ORDER.
+    L is exact at every t (from the crossings of the two speeds).  L has
+    period pi/p and is even, so it is sampled on the fundamental domain
+    [0, pi/(2p)] only, at n + 1 equally spaced t with n = ceil(T_POINTS/(4p)),
+    and the sup is located by a safeguarded secant on L' next to the first
+    grid maximizer.  t_argmax lies in [0, pi/(2p)], and t_values, l_values
+    are the domain samples.  `error` bounds the error of L at t_argmax.
+    max(p, q) is at most MAX_ORDER.
     """
     line = _ResonantLine(omega1, p, q, rho1, rho2)
-    ts = np.arange(T_POINTS) * (TWO_PI / T_POINTS)
-    # L(t + pi) = L(t) and L(2pi - t) = L(t): evaluate the first point of each
-    # grid orbit of these maps and fill the line by indexing, so argmax
-    # returns the first grid maximizer; L' flips sign under reflection
-    half = T_POINTS // 2
-    k = np.arange(T_POINTS)
-    fwd, back = k % half, -k % half
-    ls, slopes, errs = line(ts[: half // 2 + 1])[:, np.minimum(fwd, back)]
-    slopes = np.where(fwd <= back, slopes, -slopes)
+    n = -(-T_POINTS // (4 * line.p))
+    ts = np.linspace(0.0, 0.5 * math.pi / line.p, n + 1)
+    ls, slopes, errs = line(ts)
     value, t_star, error = _maximize(line, ts, ls, slopes, errs, int(np.argmax(ls)))
     return ResonantValue(
         value=float(value),

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 bad input, 3 numerical failure, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .autonomous import SchurSpec, angular_value_irrational, angular_value_resonant_4d
+from .autonomous import T_POINTS, SchurSpec, angular_value_irrational, angular_value_resonant_4d, resonant_line
 from .continuous import ContinuousSystem, estimate_angular_value_ct
 from .discrete import DiscreteSystem, estimate_angular_value
 from .errors import AngvalError, BudgetExceeded, DimensionMismatch
@@ -58,6 +59,8 @@ def load_matrix(path):
         if len(parts) != 2:
             raise ValueError("%s: malformed matrix header %r" % (path, header.strip()))
         rows, cols = int(parts[0]), int(parts[1])
+        if rows < 1 or cols < 1:
+            raise ValueError("%s: header promises %dx%d, but a matrix needs a row and a column" % (path, rows, cols))
         with warnings.catch_warnings():
             # a file with no data rows is refused below, by its shape
             warnings.simplefilter("ignore", UserWarning)
@@ -294,14 +297,12 @@ def cmd_autonomous(args):
     _settings(cfg, "quad", {})  # the rules take no settings: every key is refused
     if "resonant" in cfg:
         r = cfg["resonant"]
-        res = angular_value_resonant_4d(
-            _number("omega1", r["omega1"]),
-            _integral("p", r["p"]),
-            _integral("q", r["q"]),
-            _number("rho1", r["rho1"]),
-            _number("rho2", r["rho2"]),
-        )
-        rows = [(float(t), float(l)) for t, l in zip(res.t_values, res.l_values)]
+        line = [read(key, r[key]) for key, read in
+                (("omega1", _number), ("p", _integral), ("q", _integral), ("rho1", _number), ("rho2", _number))]
+        res = angular_value_resonant_4d(*line)
+        # one full period of L for plotting; the value needs only the domain [0, pi/(2p)]
+        ts = np.arange(T_POINTS) * (2.0 * math.pi / T_POINTS)
+        rows = [(float(t), float(l)) for t, l in zip(ts, resonant_line(*line, ts))]
         meta = _meta(
             args, cfg, value=res.value, t_argmax=res.t_argmax, err_estimate=res.error
         )
@@ -400,7 +401,9 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    # built once per process: parse_args reads the parser and never changes it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--seed", type=int, default=0, help="search / sampling seed")

@@ -166,8 +166,8 @@ def resonant_line(t, omega1, p, q, rho1, rho2):
     the ellipse speeds E(theta) = rho omega / (cos^2 theta + rho^2 sin^2 theta).
 
     Each orbit term is split where the speeds cross (sign changes of their
-    difference on a grid of 4096 points, polished by brentq), so that every
-    adaptive quadrature integrates one smooth branch.
+    difference on a grid of 4096 points, polished by brentq) and at their
+    peaks, so that every adaptive quadrature integrates one smooth branch.
     """
     from scipy.integrate import quad
     from scipy.optimize import brentq
@@ -189,7 +189,9 @@ def resonant_line(t, omega1, p, q, rho1, rho2):
         cuts = [0.0]
         for k in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0):
             cuts.append(brentq(diff, taus[k], taus[k + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps))
-        cuts.append(2.0 * math.pi)
+        peaks = np.r_[(0.5 * math.pi - t) % math.pi + np.arange(2) * math.pi,
+                      (0.5 + np.arange(2 * p + 2)) * math.pi / kappa - shift]
+        cuts = sorted(cuts + [x for x in peaks if 0.0 < x < 2.0 * math.pi] + [2.0 * math.pi])
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi > lo:
                 total += quad(top, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]

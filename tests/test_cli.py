@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from angval.autonomous import MAX_ORDER, MIN_RHO, T_POINTS
 from angval.cli import _SEARCH_KEYS, build_parser, load_matrix, main, save_matrix
 
 
@@ -229,6 +230,36 @@ def test_header_only_matrix_file_is_one_error_line(tmp_path, capsys, header):
     assert main(["angles", str(empty), str(tmp_path / "good.csv")]) == 2
     captured = capsys.readouterr()
     assert re.fullmatch(r"error: [^\n]*header promises [^\n]*\n", captured.err) and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["derivative", "angles"])
+@pytest.mark.parametrize("header", ["# 0 1", "# 1 0", "# -1 1"])
+def test_empty_matrix_header_is_exit_2(tmp_path, capsys, command, header):
+    # "# 0 1" with no data rows reads as a 0x1 matrix that matches its header;
+    # derivative then ended in an IndexError traceback on its empty SVD
+    empty = tmp_path / "e.csv"
+    empty.write_text(header + "\n")
+    assert main([command, str(empty), str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: [^\n]*header promises [^\n]*needs a row and a column\n", captured.err)
+    assert captured.out == ""
+
+
+def test_consecutive_calls_share_no_state(planar, tmp_path, capsys):
+    # the parser is built once per process, and each call parses into its own namespace
+    v, w = planar
+    assert main(["angles", v, w, "--degrees"]) == 0
+    assert abs(float(csv_rows(capsys.readouterr().out)[1][0][1]) - math.degrees(0.3)) < 1e-9
+    assert main(["angles", v, w]) == 0
+    assert abs(float(csv_rows(capsys.readouterr().out)[1][0][1]) - 0.3) < 1e-12
+    out = tmp_path / "a.csv"
+    assert main(["angles", v, w, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("wrote")
+    out.unlink()
+    assert main(["angles", v, w]) == 0
+    headers, rows = csv_rows(capsys.readouterr().out)
+    assert headers == ["j", "phi_j", "cos", "sin"] and len(rows) == 1 and not out.exists()
+    assert build_parser() is build_parser()
 
 
 def test_discrete_identity_is_zero(tmp_path, capsys):
@@ -596,6 +627,18 @@ def test_readme_names_the_search_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sentence = re.search(r"`search` accepts (.*?)\.", readme, re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(_SEARCH_KEYS)
+
+
+def test_readme_states_the_resonant_grid():
+    # the numbers the README gives for the resonant rule are T_POINTS, MAX_ORDER and MIN_RHO
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    domain = re.search(r"`n = ceil\((\d+)/\(4p\)\)` \((\d+) points at `p = 1`, (\d+) at `p = 13`\)", readme)
+    assert [int(x) for x in domain.groups()] == [T_POINTS, -(-T_POINTS // 4) + 1, -(-T_POINTS // 52) + 1]
+    assert re.search(r"the `2 pi/(\d+)` of a full-period grid", readme).group(1) == str(T_POINTS)
+    assert re.search(r"the exact line at the (\d+) equally spaced `t`", readme).group(1) == str(T_POINTS)
+    order = re.search(r"`max\(p, q\)` above (\d+), so that the (\d+) lines of .*? within 2\^(\d+) cells", readme)
+    assert [int(x) for x in order.groups()] == [MAX_ORDER, T_POINTS, 20] and MAX_ORDER == 2**20 // T_POINTS
+    assert float(re.search(r"`MIN_RHO = ([\d.]+)`", readme).group(1)) == MIN_RHO
 
 
 @pytest.mark.parametrize(
