@@ -21,9 +21,12 @@ from .errors import (
     RankDeficient,
     RationalityDetected,
 )
-from .linalg import RANK_TOL, ComplexBlock, RealBlock, as_matrix, block_flow
+from .linalg import RANK_TOL, ComplexBlock, RealBlock, as_matrix, block_flow, spectral_norm
 
 TWO_PI = 2.0 * math.pi
+# The strict rationality policy of the gate and of rotation angles: a ratio within
+# GATE_TOL of a fraction of denominator at most GATE_QMAX is rational
+GATE_QMAX, GATE_TOL = 10**4, 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def column_echelon(w, spec):
     """Reduce W to block column echelon form by column operations.
 
     Pivot positions and widths are unique; the span of the returned echelon
-    matrix equals span(W) up to the rank tolerance.
+    matrix equals span(W) up to the rank tolerance RANK_TOL * ||W||_2.
     """
     work = as_matrix(w).copy()
     d, s = work.shape
@@ -143,9 +146,7 @@ def column_echelon(w, spec):
         raise ValueError("basis rows do not match the spec dimension")
     if not 1 <= s <= d:
         raise ValueError("need 1 <= columns <= dim")
-    # ||W||_F, summed at the exact power of two that keeps its squares in range
-    exp = int(np.frexp(np.abs(work).max())[1])
-    scale = math.ldexp(float(np.linalg.norm(np.ldexp(work, -exp))), exp)
+    scale = spectral_norm(work)
     off = spec.offsets
     pivots, widths = [], []
     c0 = 0
@@ -230,7 +231,7 @@ class GateVerdict:
     witnesses: tuple
 
 
-def rational_approximation(x, qmax, tol=1e-12):
+def rational_approximation(x, qmax, tol):
     """Continued-fraction convergent p/q of x > 0 with q <= qmax and
     |x - p/q| <= tol, or None."""
     if x <= 0.0:
@@ -253,12 +254,12 @@ def rational_approximation(x, qmax, tol=1e-12):
     return None
 
 
-def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
+def rational_independence_gate(omegas):
     """Pairwise continued-fraction screen for rational frequency ratios.
 
-    Each pair is screened in its larger-over-smaller orientation, so qmax
-    bounds the denominator of the canonical ratio.  A witness (i, j, p, q)
-    means omega[j]/omega[i] is within the gate tolerance of p/q.
+    Each pair is screened in its larger-over-smaller orientation, so
+    GATE_QMAX bounds the denominator of the canonical ratio.  A witness
+    (i, j, p, q) means omega[j]/omega[i] is within GATE_TOL of p/q.
     """
     om = [float(w) for w in omegas]
     if any(w <= 0.0 for w in om):
@@ -267,7 +268,7 @@ def rational_independence_gate(omegas, qmax=10**4, tol=1e-12):
     for i in range(len(om)):
         for j in range(i + 1, len(om)):
             hi, lo = (i, j) if om[i] >= om[j] else (j, i)
-            pq = rational_approximation(om[hi] / om[lo], qmax, tol)
+            pq = rational_approximation(om[hi] / om[lo], GATE_QMAX, GATE_TOL)
             if pq is not None:
                 witnesses.append((hi, lo, pq[1], pq[0]))
     return GateVerdict(independent=not witnesses, witnesses=tuple(witnesses))

@@ -25,7 +25,7 @@ from . import __version__
 from .autonomous import T_POINTS, SchurSpec, angular_value_irrational, angular_value_resonant_4d, resonant_line
 from .continuous import ContinuousSystem, estimate_angular_value_ct
 from .discrete import DiscreteSystem, estimate_angular_value
-from .errors import AngvalError, BudgetExceeded, DimensionMismatch
+from .errors import AngvalError, BudgetExceeded, DimensionMismatch, SingularMatrix
 from .grassmann import (
     metric_d1,
     metric_d2,
@@ -260,6 +260,8 @@ def cmd_derivative(args):
     if w.shape != wdot.shape:
         raise DimensionMismatch("W and Wdot must have matching shapes")
     val = angle_derivative_right(CurvePoint(w=w, wdot=wdot)) * _angle_scale(args)
+    if val == math.inf:  # a finite value in radians may overflow in degrees
+        raise SingularMatrix("the derivative leaves the float range")
     _emit(args, ("derivative",), [(float(val),)], _meta(args, {"w": args.w, "wdot": args.wdot}, value=val))
     print("value = %s" % repr(float(val)))
     return EXIT_OK

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_matrix, qr_thin, singular_values, spectral_norm, spectral_norms, svd
+from .linalg import RANK_TOL, as_matrix, qr_thin, singular_values, spectral_norm, spectral_norms, svd
 
 # Above this cosine the arccos loses digits and the sine path takes over.
 _SINE_PATH_THRESHOLD = 1.0 - 1e-4
@@ -219,8 +219,8 @@ def metric_dsigma(v, w):
 class ProcrustesResult:
     """Minimizer and minimum of ||p1 - p2 @ q||_F over orthogonal q.
 
-    unique is False when the cross-Gram matrix is singular; the minimizer
-    is then one of several.
+    unique is False when the cross-Gram matrix is singular, sigma_min <=
+    RANK_TOL * sigma_max; the minimizer is then one of several.
     """
 
     q: np.ndarray
@@ -228,7 +228,7 @@ class ProcrustesResult:
     unique: bool
 
 
-def procrustes_min(p1, p2, tol=1e-12):
+def procrustes_min(p1, p2):
     """Orthogonal Procrustes alignment of two d x s matrices.
 
     The minimizer is z @ y.T where y diag(sigma) z.T is the SVD of
@@ -242,7 +242,7 @@ def procrustes_min(p1, p2, tol=1e-12):
     q = f.z @ f.y.T
     sq = float(np.sum(a * a) + np.sum(b * b) - 2.0 * np.sum(f.sigma))
     value = math.sqrt(max(sq, 0.0))
-    unique = bool(f.sigma[-1] > tol * max(1.0, float(f.sigma[0])))
+    unique = bool(f.sigma[-1] > RANK_TOL * f.sigma[0])
     return ProcrustesResult(q=q, value=value, unique=unique)
 
 
@@ -251,8 +251,8 @@ def projection_matrix(v):
     return v.basis @ v.basis.T
 
 
-def subspaces_equal(v, w, tol=1e-8):
-    """True when the gap metric d2 is at most tol."""
+def subspaces_equal(v, w):
+    """True when the gap metric d2 is at most 1e-8."""
     if v.d != w.d or v.s != w.s:
         return False
-    return metric_d2(v, w) <= tol
+    return metric_d2(v, w) <= 1e-8

@@ -176,6 +176,9 @@ def spectral_norms(m):
 class RealBlock:
     beta: float
 
+    def __post_init__(self):
+        _validate_block(self.beta)
+
     @property
     def dim(self):
         return 1
@@ -191,7 +194,7 @@ class ComplexBlock:
     rho: float
 
     def __post_init__(self):
-        _validate_complex(self.omega, self.rho)
+        _validate_block(self.beta, self.omega, self.rho)
 
     @property
     def dim(self):
@@ -202,11 +205,13 @@ class ComplexBlock:
         return np.array([[b, -w / r], [r * w, b]])
 
 
-def _validate_complex(omega, rho):
+def _validate_block(beta, omega=1.0, rho=1.0):
+    if not math.isfinite(beta):
+        raise InvalidBlock("beta must be finite, got %r" % (beta,))
     if not (0.0 < rho <= 1.0):
         raise InvalidBlock("rho must lie in (0, 1], got %r" % (rho,))
-    if not (omega > 0.0):
-        raise InvalidBlock("omega must be positive, got %r" % (omega,))
+    if not (0.0 < omega < math.inf):
+        raise InvalidBlock("omega must be positive and finite, got %r" % (omega,))
 
 
 def rotation(angle):
@@ -223,7 +228,6 @@ def block_flow(block, t):
     if isinstance(block, RealBlock):
         return np.array([[math.exp(block.beta * float(t))]])
     if isinstance(block, ComplexBlock):
-        _validate_complex(block.omega, block.rho)
         b, w, r = float(block.beta), float(block.omega), float(block.rho)
         c = math.cos(w * t)
         s = math.sin(w * t)

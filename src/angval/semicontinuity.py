@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .autonomous import GATE_QMAX, GATE_TOL
 from .autonomous import SchurSpec, angular_value_irrational, angular_value_resonant_4d, rational_approximation
 from .linalg import ComplexBlock, rotation
 
@@ -28,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 CIRCLE_POINTS = 4096
 # the sweep grid holds about 0.3 qmax^2 ratios, each a cell per row
 MAX_QMAX = 100
+# the kappa grid's range, background step and marked irrational points
+KAPPA_LO, KAPPA_HI, KAPPA_SPACING, KAPPA_EXTRAS = 0.05, 1.0, 0.005, (1.0 / math.sqrt(2.0),)
 
 
 @dataclass(frozen=True)
@@ -77,18 +80,14 @@ def classify_ratio(x, qmax=20, tol=1e-9):
     return RationalTag("rational", x, pq[0], pq[1])
 
 
-def tag_angle(phi, qmax=10**4, tol=1e-12):
-    """RationalTag for a rotation angle: classifies phi / (2 pi).
+def tag_angle(phi):
+    """RationalTag for a rotation angle: classifies phi / (2 pi) by the
+    rationality gate's GATE_QMAX and GATE_TOL.
 
     Endpoints follow the convention p=0, q=1 at phi = 0 and p=q=1 at
     phi = 2 pi.
     """
-    phi = float(phi)
-    if phi == 0.0:
-        return RationalTag("rational", 0.0, 0, 1)
-    if phi == TWO_PI:
-        return RationalTag("rational", 1.0, 1, 1)
-    return classify_ratio(phi / TWO_PI, qmax=qmax, tol=tol)
+    return classify_ratio(float(phi) / TWO_PI, qmax=GATE_QMAX, tol=GATE_TOL)
 
 
 def _circle_points(angles):
@@ -193,21 +192,15 @@ class SweepCell:
     seconds: float = field(default=0.0, compare=False)
 
 
-def build_kappa_grid(lo=0.05, hi=1.0, qmax=20, spacing=0.005, extras=(1.0 / math.sqrt(2.0),)):
-    """Frequency-ratio grid: all p/q with q <= qmax in [lo, hi], a uniform
-    background grid, and any extra marked points (deduplicated)."""
-    vals = []
-    for q in range(1, qmax + 1):
-        for p in range(1, q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            x = p / q
-            if lo - 1e-12 <= x <= hi + 1e-12:
-                vals.append(x)
-    kept = sorted(vals)
-    candidates = [lo + spacing * k for k in range(int(round((hi - lo) / spacing)) + 1)]
-    candidates.extend(extras)
-    for x in candidates:
+def build_kappa_grid(qmax=20):
+    """Frequency-ratio grid: all p/q with q <= qmax in [KAPPA_LO, KAPPA_HI], a
+    uniform background grid, and the KAPPA_EXTRAS points (deduplicated)."""
+    kept = sorted(
+        p / q for q in range(1, qmax + 1) for p in range(1, q + 1)
+        if math.gcd(p, q) == 1 and KAPPA_LO - 1e-12 <= p / q <= KAPPA_HI + 1e-12
+    )
+    steps = int(round((KAPPA_HI - KAPPA_LO) / KAPPA_SPACING))
+    for x in [KAPPA_LO + KAPPA_SPACING * k for k in range(steps + 1)] + list(KAPPA_EXTRAS):
         if all(abs(x - y) > 1e-9 for y in kept):
             kept.append(x)
     return sorted(kept)

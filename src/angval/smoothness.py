@@ -10,7 +10,7 @@ import numpy as np
 
 from .continuous import _speeds
 from .errors import RankDeficient, SingularMatrix
-from .grassmann import max_angle, subspace_from_spanning
+from .grassmann import Subspace, max_angle, subspace_from_spanning
 from .linalg import RANK_TOL, as_matrix, rotation, singular_values, spectral_norm, svd
 
 # Lipschitz constant of V -> angle(SV, W) in ||S - I||.
@@ -39,6 +39,14 @@ def _report(lhs, bound, constants):
     return BoundReport(lhs=lhs, bound=bound, satisfied=lhs <= bound + 1e-12, constants=constants)
 
 
+def _whitened_norm(x, f):
+    # ||x (M^T M)^(-1/2)|| for the SVD f of M, as ||x Z diag(1/sigma)||: the
+    # orthogonal Z^T of (M^T M)^(-1/2) changes no spectral norm; inf on overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = x @ (f.z / f.sigma)
+    return spectral_norm(m) if np.isfinite(m).all() else math.inf
+
+
 def angle_derivative_right(point):
     """Right derivative of t -> angle(span W(tau), span W(t)) at t = tau.
 
@@ -53,14 +61,12 @@ def angle_derivative_right(point):
     f = svd(w)
     if f.sigma[-1] <= RANK_TOL * f.sigma[0]:
         raise RankDeficient("curve basis is rank deficient")
-    b = f.y  # orthonormal basis of span W
     with np.errstate(over="ignore", invalid="ignore"):
-        whiten = (f.z / f.sigma) @ f.z.T  # (W^T W)^(-1/2)
-        m = wdot @ whiten
-        m = m - b @ (b.T @ m)
-    if not np.isfinite(m).all():
+        # project out span W first: the part of Wdot inside it is never whitened
+        value = _whitened_norm(wdot - f.y @ (f.y.T @ wdot), f)
+    if value == math.inf:
         raise SingularMatrix("the derivative leaves the float range")
-    return spectral_norm(m)
+    return value
 
 
 def angle_derivative_flow(a, v):
@@ -92,18 +98,14 @@ def model2d_alpha(tau, v0, rho, omega):
     return rho * omega * float(dinv @ dinv) / float(moved @ moved)
 
 
-def _sv_extremes(m):
-    sigma = singular_values(m)
-    return float(sigma[0]), float(sigma[-1])
-
-
 def check_angle_bound(s_mat, v, w):
-    """angle(SV, SW) <= pi k (1 + k) angle(V, W) with k = cond_2(S)."""
+    """angle(SV, SW) <= pi k (1 + k) angle(V, W) with k = cond_2(S); S with
+    sigma_min(S) <= RANK_TOL * sigma_max(S) raises SingularMatrix."""
     s = as_matrix(s_mat)
-    smax, smin = _sv_extremes(s)
-    if smin <= 1e-14 * smax:
+    sigma = singular_values(s)
+    if sigma[-1] <= RANK_TOL * sigma[0]:
         raise SingularMatrix("S is singular at working precision")
-    kappa = smax / smin
+    kappa = float(sigma[0] / sigma[-1])
     lhs = max_angle(subspace_from_spanning(s @ v.basis), subspace_from_spanning(s @ w.basis))
     bound = math.pi * kappa * (1.0 + kappa) * max_angle(v, w)
     return _report(lhs, bound, {"kappa": kappa})
@@ -129,18 +131,15 @@ def check_near_identity(s_mat, v):
 
     q is computed exactly as the largest generalized singular value of the
     pair ((I - S) B, S B); when q >= 1 the hypothesis fails and the bound
-    is reported as infinite (trivially satisfied).
+    is reported as infinite (trivially satisfied).  Raises SingularMatrix
+    if sigma_min(SV) <= RANK_TOL * sigma_max(SV) for the basis V.
     """
     s = as_matrix(s_mat)
-    b = v.basis
-    m = (np.eye(s.shape[0]) - s) @ b
-    n = s @ b
-    fn = svd(n)
-    if fn.sigma[-1] <= 1e-14 * max(fn.sigma[0], 1.0):
+    fn = svd(s @ v.basis)
+    if fn.sigma[-1] <= RANK_TOL * fn.sigma[0]:
         raise SingularMatrix("S collapses V")
-    whiten = (fn.z / fn.sigma) @ fn.z.T  # (N^T N)^(-1/2)
-    q = spectral_norm(m @ whiten)
-    lhs = max_angle(v, subspace_from_spanning(n))
+    q = _whitened_norm((np.eye(s.shape[0]) - s) @ v.basis, fn)
+    lhs = max_angle(v, Subspace(fn.y))
     bound = q / math.sqrt(1.0 - q * q) if q < 1.0 else math.inf
     return _report(lhs, bound, {"q": q})
 

@@ -252,7 +252,6 @@ def test_gate_detects_simple_ratio():
 
 def test_gate_passes_sqrt2_ratio():
     assert rational_independence_gate([1.0, 1 / SQRT2]).independent
-    assert rational_independence_gate([1.0, 1 / SQRT2], qmax=10**6).independent
 
 
 def test_gate_single_frequency_independent():

@@ -194,6 +194,9 @@ _BIG_PLANE = [[1e308, 1e308], [1e308, -1e308], [0.0, 0.0]]
         # the rank test is relative to sigma_max(W), so a tiny W is a
         # full-rank basis; the derivative scales with 1/W
         ("derivative", [[1e-200], [0.0]], [[0.0], [1.0]], [1e200]),
+        # the part of Wdot inside span W overflowed when it was whitened
+        # before the projection (exit 3)
+        ("derivative", [[0.5], [0.0]], [[1e308], [1e-3]], [0.002]),
     ],
 )
 def test_huge_and_tiny_spanning_sets_are_read_exactly(tmp_path, capsys, command, v, w, want):
@@ -217,6 +220,16 @@ def test_derivative_beyond_the_float_range_is_exit_3(tmp_path, capsys, w, wdot):
     save_matrix(tmp_path / "w.csv", np.array(w))
     save_matrix(tmp_path / "wd.csv", np.array(wdot))
     assert main(["derivative", str(tmp_path / "w.csv"), str(tmp_path / "wd.csv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: the derivative leaves the float range\n" and captured.out == ""
+
+
+def test_derivative_beyond_the_float_range_in_degrees_is_exit_3(tmp_path, capsys):
+    # 1e308 radians per unit time is finite, but not in degrees: it printed
+    # inf with exit 0
+    save_matrix(tmp_path / "w.csv", np.array([[1.0], [0.0]]))
+    save_matrix(tmp_path / "wd.csv", np.array([[0.0], [1e308]]))
+    assert main(["derivative", str(tmp_path / "w.csv"), str(tmp_path / "wd.csv"), "--degrees"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: the derivative leaves the float range\n" and captured.out == ""
 
@@ -866,25 +879,39 @@ _FUZZ_CASES = [(command, base, path) for command, base in _FUZZ_BASES for path i
 
 
 @settings(max_examples=600, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(_FUZZ_CASES), st.sampled_from(_FUZZ_POOL))
-@example(("oracle", _FUZZ_BASES[5][1], ("v",)), 2)  # maxmin
-@example(("oracle", _FUZZ_BASES[5][1], ("v",)), 0)
-@example(("oracle", _FUZZ_BASES[8][1], ("w",)), 1)  # fd_derivative
-@example(("sweep", _FUZZ_SWEEP, ("rho1",)), 1e-300)  # a division by zero
-@example(("sweep", _FUZZ_SWEEP, ("omega1",)), 1e308)  # nan values
-@example(("autonomous", _FUZZ_BASES[10][1], ("resonant", "omega1")), 1e308)
-@example(("autonomous", _FUZZ_BASES[10][1], ("resonant", "rho2")), 1e-300)
-def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, capsys, case, value):
-    # one documented key replaced by a value of the wrong type, sign or size:
-    # main reports it by an exit code, raises nothing, warns nothing, leaves
-    # stdout and stderr open, and prints no nan or inf when it exits 0
+@given(
+    st.sampled_from(_FUZZ_CASES),
+    st.sampled_from(_FUZZ_POOL),
+    st.none() | st.tuples(st.integers(0, 63), st.sampled_from(_FUZZ_POOL)),
+)
+@example(("oracle", _FUZZ_BASES[5][1], ("v",)), 2, None)  # maxmin
+@example(("oracle", _FUZZ_BASES[5][1], ("v",)), 0, None)
+@example(("oracle", _FUZZ_BASES[8][1], ("w",)), 1, None)  # fd_derivative
+@example(("sweep", _FUZZ_SWEEP, ("rho1",)), 1e-300, None)  # a division by zero
+@example(("sweep", _FUZZ_SWEEP, ("omega1",)), 1e308, None)  # nan values
+@example(("autonomous", _FUZZ_BASES[10][1], ("resonant", "omega1")), 1e308, None)
+@example(("autonomous", _FUZZ_BASES[10][1], ("resonant", "rho2")), 1e-300, None)
+def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, capsys, case, value, second):
+    # one documented key replaced by a value of the wrong type, sign or size,
+    # and with `second` a second key of the same base too (its index counts
+    # modulo the base's keys): main reports it by an exit code, raises
+    # nothing, warns nothing, leaves stdout and stderr open, and prints no
+    # nan or inf when it exits 0
     capsys.readouterr()
     command, base, path = case
     cfg = json.loads(json.dumps(base))
-    parent = cfg
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    replaced = [(path, value)]
+    if second is not None:
+        paths = list(_key_paths(base))
+        other = paths[second[0] % len(paths)]
+        # a key that holds the first one, or lies inside it, is not a second key
+        if other[: len(path)] != path and path[: len(other)] != other:
+            replaced.append((other, second[1]))
+    for path, value in replaced:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
     monkeypatch.chdir(tmp_path)
     save_matrix(tmp_path / "v.csv", np.array([[1.0], [0.0]]))
     save_matrix(tmp_path / "w.csv", np.array([[math.cos(0.3)], [math.sin(0.3)]]))

@@ -199,6 +199,23 @@ def test_procrustes_nonunique_flag():
     assert not res.unique
 
 
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(-200, 200), st.sampled_from([0, 4, 8, 12, 16, 400]))
+def test_procrustes_uniqueness_is_scale_invariant(seed, k, e):
+    # the cross-Gram matrix p1^T p2 = g has singular values from 1 down to
+    # 10^-e (0 at e = 400): singular by the rank rule exactly when s >= 2 and
+    # e > 10, for the pair and its 2^k multiple alike
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    s = int(rng.integers(1, d + 1))
+    p1 = haar_subspace(rng, d, s).basis
+    g = (random_orthogonal(rng, s) * np.logspace(0.0, -e, s)) @ random_orthogonal(rng, s)
+    p2 = p1 @ g
+    unique = procrustes_min(p1, p2).unique
+    assert unique == (s == 1 or e < 10)
+    assert procrustes_min(2.0**k * p1, 2.0**k * p2).unique == unique
+
+
 def test_max_angle_against_maxmin_oracle():
     rng = np.random.default_rng(61)
     for _ in range(8):

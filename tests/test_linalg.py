@@ -1,5 +1,8 @@
+import inspect
 import math
+import pkgutil
 import re
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import angval
 from angval import linalg
+from angval.autonomous import SchurSpec
 from angval.discrete import DiscreteSystem, angle_sum
 from angval.errors import InvalidBlock, NoConvergence, RankDeficient
 from angval.grassmann import Subspace
@@ -104,6 +109,25 @@ def test_one_module_decides_orthonormal_bases():
         elif path.name != "oracles.py":
             assert "np.linalg.qr" not in text, path.name
             assert not re.search(r"RANK_TOL\s*=[^=]|\btol\s*=\s*(None|1e-10)\b", text), path.name
+
+
+def test_only_the_ratio_readers_take_a_tolerance():
+    # rank, gate and equality decisions read module constants; the two
+    # continued-fraction readers take tol because their callers need two:
+    # 1e-9 for the sweep grid and 1e-12 for the rationality gate
+    takers = set()
+    for info in pkgutil.iter_modules(angval.__path__):
+        if info.name == "oracles":
+            continue
+        module = import_module("angval." + info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            functions = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                functions += [(name + "." + key, fn) for key, fn in vars(obj).items() if inspect.isfunction(fn)]
+            takers.update(label for label, fn in functions if "tol" in inspect.signature(fn).parameters)
+    assert takers == {"classify_ratio", "rational_approximation"}
 
 
 def test_svd_diagonal_exact():
@@ -240,6 +264,17 @@ def test_invalid_block_parameters():
         ComplexBlock(beta=0.0, omega=-1.0, rho=0.5)
     with pytest.raises(InvalidBlock):
         ComplexBlock(beta=0.0, omega=0.0, rho=0.5)
+    # non-finite parameters; a nan real part compared false, so SchurSpec
+    # passed the increasing real parts 0, nan, 1
+    for make in (
+        lambda: RealBlock(math.nan),
+        lambda: RealBlock(-math.inf),
+        lambda: ComplexBlock(beta=math.inf, omega=1.0, rho=0.5),
+        lambda: ComplexBlock(beta=0.0, omega=math.inf, rho=0.5),
+        lambda: SchurSpec((RealBlock(0.0), RealBlock(math.nan), RealBlock(1.0))),
+    ):
+        with pytest.raises(InvalidBlock, match="must be .*finite"):
+            make()
 
 
 def test_rotation_matrix():

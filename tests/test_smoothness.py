@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_subspace, random_orthogonal
 
@@ -226,3 +228,71 @@ def test_lipschitz_orthogonal_perturbation():
     q = random_orthogonal(rng, 4)
     rep = check_lipschitz(q, v, w)
     assert rep.satisfied
+
+
+def test_near_identity_reads_a_tiny_s_at_its_own_scale():
+    # the rank rule is relative to sigma_max(SV), so S = 1e-20 I keeps V; the
+    # test against max(sigma_max, 1) once refused it as a collapse
+    v = haar_subspace(np.random.default_rng(47), 4, 2)
+    rep = check_near_identity(1e-20 * np.eye(4), v)
+    assert rep.constants["q"] == pytest.approx(1e20, rel=1e-12)
+    assert rep.bound == math.inf and rep.satisfied
+    assert rep.lhs <= 1e-15
+
+
+def test_both_s_checks_refuse_by_the_rank_rule():
+    # cond(S) = 1e12 lies beyond 1 / RANK_TOL: refused by both checks, which
+    # once accepted it up to 1e14
+    s_mat = np.diag([1.0, 1e-12, 1.0])
+    v, w = coordinate_subspace(3, [0, 1]), coordinate_subspace(3, [1, 2])
+    with pytest.raises(SingularMatrix, match="S is singular at working precision"):
+        check_angle_bound(s_mat, v, w)
+    with pytest.raises(SingularMatrix, match="S collapses V"):
+        check_near_identity(s_mat, v)
+    check_angle_bound(np.diag([1.0, 1e-9, 1.0]), v, w)
+    check_near_identity(np.diag([1.0, 1e-9, 1.0]), v)
+
+
+def _refuses(check, *args):
+    try:
+        check(*args)
+    except SingularMatrix:
+        return True
+    return False
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(-200, 200), st.sampled_from([0, 4, 8, 12, 16, 400]))
+def test_near_identity_refusal_is_scale_invariant(seed, k, e):
+    # S maps V onto SV with singular values from 1 down to 10^-e (0 at e = 400),
+    # so SV is refused exactly when s >= 2 and e > 10, for S and 2^k S alike
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    s = int(rng.integers(1, d + 1))
+    q2 = random_orthogonal(rng, d)
+    v = Subspace(q2[:, :s])
+    sigma = np.ones(d)
+    sigma[:s] = np.logspace(0.0, -e, s)
+    s_mat = (random_orthogonal(rng, d) * sigma) @ q2.T
+    refused = _refuses(check_near_identity, s_mat, v)
+    assert refused == (s >= 2 and e > 10)
+    assert _refuses(check_near_identity, 2.0**k * s_mat, v) == refused
+
+
+def _curve_point(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    s = int(rng.integers(1, d))
+    return CurvePoint(w=rng.standard_normal((d, s)), wdot=rng.standard_normal((d, s)))
+
+
+@settings(max_examples=100)
+@given(st.builds(_curve_point, st.integers(0, 2**32 - 1)), st.integers(-200, 200))
+# the part of Wdot inside span W overflowed when Wdot was whitened before
+# the projection, so this pair was refused at 2^0 and read at 2^-1
+@example(CurvePoint(w=np.array([[0.5], [0.0]]), wdot=np.array([[1e308], [1e-3]])), -1)
+def test_derivative_is_scale_invariant(point, k):
+    c = 2.0**k
+    value = angle_derivative_right(point)
+    scaled = angle_derivative_right(CurvePoint(w=c * point.w, wdot=c * point.wdot))
+    assert scaled == pytest.approx(value, rel=1e-15, abs=0.0)
