@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -48,9 +47,6 @@ MAX_ORACLE_SAMPLES = 10**7
 
 def load_matrix(path):
     """Read a `# rows cols` headed CSV matrix file of finite numbers."""
-    if not isinstance(path, (str, os.PathLike)):
-        # open() would take an integer for a file descriptor, and close it
-        raise ValueError("matrix path must be a string, got %r" % (path,))
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -145,12 +141,6 @@ def _number(key, x):
     return float(x)
 
 
-def _numbers(key, xs):
-    for x in xs:
-        _number(key, x)
-    return list(xs)  # as given, so that messages quote the config
-
-
 def _integral(key, x):
     # int() would truncate 2048.5 to 2048 and accept "2048" and true
     if isinstance(x, float) and x.is_integer():
@@ -160,40 +150,71 @@ def _integral(key, x):
     return x
 
 
-def _settings(cfg, name, readers):
-    """The optional settings object cfg[name], each known key read by its
-    reader; any other key is refused."""
-    given = cfg.get(name, {})
+def _array(key, x):
+    # a JSON number or nested lists of them (a matrix, a grid), returned as
+    # given, so that messages quote the config
+    if isinstance(x, list):
+        for entry in x:
+            _array(key, entry)
+    else:
+        _number(key, x)
+    return x
+
+
+def _flag(key, x):
+    # bool() would read "false" as true
+    if not isinstance(x, bool):
+        raise ValueError("%s must be true or false, got %r" % (key, x))
+    return x
+
+
+def _text(key, x):
+    if not isinstance(x, str):
+        raise ValueError("%s must be a string, got %r" % (key, x))
+    return x
+
+
+def _path(key, x):
+    # open() would take an integer for a file descriptor, and close it
+    if not isinstance(x, str):
+        raise ValueError("matrix path must be a string, got %r" % (x,))
+    return x
+
+
+def _object(name, given, readers):
+    """The JSON object `given`, each key read by its reader in the order of
+    `readers`; a key with no reader is refused."""
     if not isinstance(given, dict):
         raise ValueError("%s must be a JSON object, got %r" % (name, given))
-    settings = {key: read(key, given[key]) for key, read in readers.items() if key in given}
     unknown = sorted(set(given) - set(readers))
     if unknown:
         raise ValueError("unknown %s settings: %s" % (name, ", ".join(unknown)))
-    return settings
+    return {key: read(key, given[key]) for key, read in readers.items() if key in given}
 
 
-# system kinds of each time class: kind -> the system its config describes
+def _nested(readers):
+    # the reader of a JSON object nested under a key
+    return lambda key, given: _object(key, given, readers)
+
+
+# system kinds of each time class: kind -> (its keys besides kind, the system its settings describe)
 _DISCRETE_KINDS = {
-    "constant": lambda cfg: DiscreteSystem.constant(cfg["matrix"]),
-    "cycle": lambda cfg: DiscreteSystem.from_sequence(cfg["matrices"], cycle=True),
-    "planar_rotation": lambda cfg: DiscreteSystem.planar_rotation(
-        _number("rho", cfg["rho"]), _number("phi", cfg["phi"])
-    ),
+    "constant": ({"matrix": _array}, lambda c: DiscreteSystem.constant(c["matrix"])),
+    "cycle": ({"matrices": _array}, lambda c: DiscreteSystem.from_sequence(c["matrices"], cycle=True)),
+    "planar_rotation": ({"rho": _number, "phi": _number}, lambda c: DiscreteSystem.planar_rotation(c["rho"], c["phi"])),
 }
 _CONTINUOUS_KINDS = {
-    "constant": lambda cfg: ContinuousSystem.from_constant(cfg["matrix"]),
-    "model2d": lambda cfg: ContinuousSystem.model2d(_number("rho", cfg["rho"]), _number("omega", cfg["omega"])),
+    "constant": ({"matrix": _array}, lambda c: ContinuousSystem.from_constant(c["matrix"])),
+    "model2d": ({"rho": _number, "omega": _number}, lambda c: ContinuousSystem.model2d(c["rho"], c["omega"])),
 }
 
 
 def _build_system(cfg, kinds, time_class):
-    if not isinstance(cfg, dict):
-        raise ValueError("system must be a JSON object, got %r" % (cfg,))
-    kind = cfg.get("kind", "constant")
+    kind = cfg.get("kind", "constant") if isinstance(cfg, dict) else "constant"
     if not isinstance(kind, str) or kind not in kinds:
         raise ValueError("unknown %s system kind %r" % (time_class, kind))
-    return kinds[kind](cfg)
+    keys, build = kinds[kind]
+    return build(_object("system", cfg, dict(keys, kind=_text)))
 
 
 def build_discrete_system(cfg):
@@ -204,25 +225,32 @@ def build_continuous_system(cfg):
     return _build_system(cfg, _CONTINUOUS_KINDS, "continuous")
 
 
-def build_schur_spec(blocks_cfg):
-    blocks = []
-    for b in blocks_cfg:
-        if "omega" in b:
-            blocks.append(ComplexBlock(*(_number(key, b[key]) for key in ("beta", "omega", "rho"))))
-        else:
-            blocks.append(RealBlock(_number("beta", b["beta"])))
-    return SchurSpec(tuple(blocks))
-
-
-_SEARCH_KEYS = {
-    **dict.fromkeys(("candidates", "refine_rounds"), _integral),
-    "sample_times": _numbers,
-    "cost_cap": _number,
-}
+_SEARCH_KEYS = {"candidates": _integral, "refine_rounds": _integral, "sample_times": _array, "cost_cap": _number}
 
 
 def build_search_config(cfg, seed):
-    return SubspaceSearchConfig(seed=seed, **_settings(cfg, "search", _SEARCH_KEYS))
+    return SubspaceSearchConfig(seed=seed, **_object("search", cfg.get("search", {}), _SEARCH_KEYS))
+
+
+def _schur_spec(key, blocks):
+    # a 1x1 real block gives only beta; a 2x2 block gives beta, omega and rho
+    blocks = [_object("block", b, _BLOCK_KEYS) for b in blocks]
+    return SchurSpec(tuple(RealBlock(**b) if set(b) == {"beta"} else ComplexBlock(**b) for b in blocks))
+
+
+# the keys of the other JSON objects the commands read; a time class adds its
+# system and horizon keys to those of an estimate and of a birkhoff oracle
+_ESTIMATE_KEYS = {"s": _integral, "variant": _text, "search": _nested(_SEARCH_KEYS)}
+_BLOCK_KEYS = dict.fromkeys(("beta", "omega", "rho"), _number)
+_RESONANT_KEYS = {"omega1": _number, "p": _integral, "q": _integral, "rho1": _number, "rho2": _number}
+_AUTONOMOUS_KEYS = {"blocks": _schur_spec, "s": _integral, "override_gate": _flag}
+_SWEEP_KEYS = {"omega1": _number, "rho1": _number, "kappa_grid": _array, "rho2_grid": _array, "qmax": _integral}
+_ORACLE_KINDS = {
+    "maxmin": {"v": _path, "w": _path, "samples": _integral},
+    # v0 is a matrix path or an inline matrix
+    "birkhoff": {"time": _text, "v0": lambda key, x: x if isinstance(x, str) else _array(key, x)},
+    "fd_derivative": {"w": _path, "wdot": _path, "h": _number},
+}
 
 
 def _subspace_pair(v, w):
@@ -267,25 +295,19 @@ def cmd_derivative(args):
     return EXIT_OK
 
 
-# time class -> (system from config, estimator, reader of the horizon [and step])
+# time class -> (system from config, estimator, the keys of its horizon [and step])
 _TIME_CLASSES = {
-    "discrete": (build_discrete_system, estimate_angular_value,
-                 lambda cfg: (_integral("horizon", cfg["horizon"]),)),
-    "continuous": (build_continuous_system, estimate_angular_value_ct,
-                   lambda cfg: (_number("horizon", cfg["horizon"]), _number("step", cfg["step"]))),
+    "discrete": (build_discrete_system, estimate_angular_value, {"horizon": _integral}),
+    "continuous": (build_continuous_system, estimate_angular_value_ct, {"horizon": _number, "step": _number}),
 }
 
 
 def cmd_estimate(args):
     cfg = load_config(args)
-    build, estimate, read_horizon = _TIME_CLASSES[args.command]
-    rep = estimate(
-        build(cfg["system"]),
-        _integral("s", cfg.get("s", 1)),
-        cfg.get("variant", "sup-limsup"),
-        *read_horizon(cfg),
-        build_search_config(cfg, args.seed),
-    )
+    build, estimate, horizon = _TIME_CLASSES[args.command]
+    c = _object(args.command, cfg, {"system": lambda _, x: build(x), **_ESTIMATE_KEYS, **horizon})
+    rep = estimate(c["system"], c.get("s", 1), c.get("variant", "sup-limsup"), *(c[key] for key in horizon),
+                   SubspaceSearchConfig(seed=args.seed, **c.get("search", {})))
     headers = ("variant", "s", "horizon", "value", "tail_sup", "tail_inf", "candidates", "evaluations")
     row = (rep.variant, rep.subspace_dim, float(rep.horizon), float(rep.value), float(rep.tail_sup),
            float(rep.tail_inf), rep.candidates, rep.evaluations)
@@ -296,24 +318,19 @@ def cmd_estimate(args):
 
 def cmd_autonomous(args):
     cfg = load_config(args)
-    _settings(cfg, "quad", {})  # the rules take no settings: every key is refused
     if "resonant" in cfg:
-        r = cfg["resonant"]
-        line = [read(key, r[key]) for key, read in
-                (("omega1", _number), ("p", _integral), ("q", _integral), ("rho1", _number), ("rho2", _number))]
-        res = angular_value_resonant_4d(*line)
+        line = _object("autonomous", cfg, {"resonant": _nested(_RESONANT_KEYS)})["resonant"]
+        res = angular_value_resonant_4d(**line)
         # one full period of L for plotting; the value needs only the domain [0, pi/(2p)]
         ts = np.arange(T_POINTS) * (2.0 * math.pi / T_POINTS)
-        rows = [(float(t), float(l)) for t, l in zip(ts, resonant_line(*line, ts))]
+        rows = [(float(t), float(l)) for t, l in zip(ts, resonant_line(**line, t=ts))]
         meta = _meta(
             args, cfg, value=res.value, t_argmax=res.t_argmax, err_estimate=res.error
         )
         _emit(args, ("t", "L"), rows, meta)
     else:
-        spec = build_schur_spec(cfg["blocks"])
-        res = angular_value_irrational(
-            _integral("s", cfg["s"]), spec, override_gate=bool(cfg.get("override_gate", False))
-        )
+        c = _object("autonomous", cfg, _AUTONOMOUS_KEYS)
+        res = angular_value_irrational(c["s"], c["blocks"], override_gate=c.get("override_gate", False))
         rows = [
             ("+".join(str(j) for j in sv.index_set) or "empty", float(sv.value), float(sv.error))
             for sv in res.per_set
@@ -332,14 +349,7 @@ def cmd_autonomous(args):
 
 def cmd_sweep(args):
     cfg = load_config(args)
-    _settings(cfg, "quad", {})
-    cells = hairy_sweep(
-        _number("omega1", cfg["omega1"]),
-        _number("rho1", cfg["rho1"]),
-        kappa_grid=_numbers("kappa_grid", cfg["kappa_grid"]) if "kappa_grid" in cfg else None,
-        rho2_grid=_numbers("rho2_grid", cfg["rho2_grid"]) if "rho2_grid" in cfg else None,
-        qmax=_integral("qmax", cfg.get("qmax", 20)),
-    )
+    cells = hairy_sweep(**_object("sweep", cfg, _SWEEP_KEYS))
     rows = []
     for c in cells:
         rows.append(
@@ -366,20 +376,25 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     cfg = load_config(args)
-    kind = cfg["kind"]
-    if kind == "maxmin":
-        samples = _integral("samples", cfg.get("samples", 10**6))
-        if not 1 <= samples <= MAX_ORACLE_SAMPLES:
-            # the oracle tabulates sqrt(samples)^2 doubles for planes
-            raise ValueError("samples must be in 1..%d" % MAX_ORACLE_SAMPLES)
-        val = maxmin_angle(*_subspace_pair(cfg["v"], cfg["w"]), samples=samples, seed=args.seed)
-    elif kind == "birkhoff":
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in _ORACLE_KINDS:
+        raise ValueError("unknown oracle kind %r" % (kind,))
+    keys = dict(_ORACLE_KINDS[kind], kind=_text)
+    if kind == "birkhoff":
         time_kind = cfg.get("time", "discrete")
         if time_kind not in ("discrete", "continuous"):
             raise ValueError("oracle time must be discrete or continuous")
-        build, _, read_horizon = _TIME_CLASSES[time_kind]
-        sys_ = build(cfg["system"])
-        horizon, step = (*read_horizon(cfg), None)[:2]  # a discrete horizon has no step
+        build, _, timed = _TIME_CLASSES[time_kind]
+        keys.update(system=lambda _, x: build(x), **timed)
+    c = _object("%s oracle" % kind, cfg, keys)
+    if kind == "maxmin":
+        samples = c.get("samples", 10**6)
+        if not 1 <= samples <= MAX_ORACLE_SAMPLES:
+            # the oracle tabulates sqrt(samples)^2 doubles for planes
+            raise ValueError("samples must be in 1..%d" % MAX_ORACLE_SAMPLES)
+        val = maxmin_angle(*_subspace_pair(c["v"], c["w"]), samples=samples, seed=args.seed)
+    elif kind == "birkhoff":
+        horizon, step = (*(c[key] for key in timed), None)[:2]  # a discrete horizon has no step
         if step is not None and not step > 0.0:
             raise ValueError("oracle step must be positive")
         nsteps = horizon if step is None else horizon / step
@@ -390,13 +405,11 @@ def cmd_oracle(args):
             )
         if round(nsteps) < 1:
             raise ValueError("oracle horizon must cover at least one step")
-        v0 = cfg["v0"]
+        v0 = c["v0"]
         v0 = load_matrix(v0) if isinstance(v0, str) else np.asarray(v0, dtype=float)
-        val = birkhoff_average(sys_, v0, horizon, step=step)
-    elif kind == "fd_derivative":
-        val = fd_angle_derivative(load_matrix(cfg["w"]), load_matrix(cfg["wdot"]), _number("h", cfg["h"]))
+        val = birkhoff_average(c["system"], v0, horizon, step=step)
     else:
-        raise ValueError("unknown oracle kind %r" % kind)
+        val = fd_angle_derivative(load_matrix(c["w"]), load_matrix(c["wdot"]), c["h"])
     val = float(val) * _angle_scale(args)
     _emit(args, ("value",), [(val,)], _meta(args, cfg, value=val))
     print("value = %s" % repr(val))

@@ -10,8 +10,8 @@ import numpy as np
 
 from .continuous import _speeds
 from .errors import RankDeficient, SingularMatrix
-from .grassmann import Subspace, max_angle, subspace_from_spanning
-from .linalg import RANK_TOL, as_matrix, rotation, singular_values, spectral_norm, svd
+from .grassmann import Subspace, max_angle
+from .linalg import RANK_TOL, as_matrix, rotation, spectral_norm, svd
 
 # Lipschitz constant of V -> angle(SV, W) in ||S - I||.
 LIPSCHITZ_CONSTANT = math.pi / 2.0 + math.sqrt(math.pi**2 / 4.0 + 1.0)
@@ -39,6 +39,14 @@ def _report(lhs, bound, constants):
     return BoundReport(lhs=lhs, bound=bound, satisfied=lhs <= bound + 1e-12, constants=constants)
 
 
+def _full_rank_svd(m, error, message):
+    # the SVD of m, refused by the one rank rule sigma_min <= RANK_TOL * sigma_max
+    f = svd(m)
+    if f.sigma[-1] <= RANK_TOL * f.sigma[0]:
+        raise error(message)
+    return f
+
+
 def _whitened_norm(x, f):
     # ||x (M^T M)^(-1/2)|| for the SVD f of M, as ||x Z diag(1/sigma)||: the
     # orthogonal Z^T of (M^T M)^(-1/2) changes no spectral norm; inf on overflow
@@ -58,9 +66,7 @@ def angle_derivative_right(point):
     """
     w = as_matrix(point.w)
     wdot = as_matrix(point.wdot)
-    f = svd(w)
-    if f.sigma[-1] <= RANK_TOL * f.sigma[0]:
-        raise RankDeficient("curve basis is rank deficient")
+    f = _full_rank_svd(w, RankDeficient, "curve basis is rank deficient")
     with np.errstate(over="ignore", invalid="ignore"):
         # project out span W first: the part of Wdot inside it is never whitened
         value = _whitened_norm(wdot - f.y @ (f.y.T @ wdot), f)
@@ -102,11 +108,9 @@ def check_angle_bound(s_mat, v, w):
     """angle(SV, SW) <= pi k (1 + k) angle(V, W) with k = cond_2(S); S with
     sigma_min(S) <= RANK_TOL * sigma_max(S) raises SingularMatrix."""
     s = as_matrix(s_mat)
-    sigma = singular_values(s)
-    if sigma[-1] <= RANK_TOL * sigma[0]:
-        raise SingularMatrix("S is singular at working precision")
+    sigma = _full_rank_svd(s, SingularMatrix, "S is singular at working precision").sigma
     kappa = float(sigma[0] / sigma[-1])
-    lhs = max_angle(subspace_from_spanning(s @ v.basis), subspace_from_spanning(s @ w.basis))
+    lhs = max_angle(Subspace(svd(s @ v.basis).y), Subspace(svd(s @ w.basis).y))
     bound = math.pi * kappa * (1.0 + kappa) * max_angle(v, w)
     return _report(lhs, bound, {"kappa": kappa})
 
@@ -135,9 +139,7 @@ def check_near_identity(s_mat, v):
     if sigma_min(SV) <= RANK_TOL * sigma_max(SV) for the basis V.
     """
     s = as_matrix(s_mat)
-    fn = svd(s @ v.basis)
-    if fn.sigma[-1] <= RANK_TOL * fn.sigma[0]:
-        raise SingularMatrix("S collapses V")
+    fn = _full_rank_svd(s @ v.basis, SingularMatrix, "S collapses V")
     q = _whitened_norm((np.eye(s.shape[0]) - s) @ v.basis, fn)
     lhs = max_angle(v, Subspace(fn.y))
     bound = q / math.sqrt(1.0 - q * q) if q < 1.0 else math.inf
@@ -145,10 +147,8 @@ def check_near_identity(s_mat, v):
 
 
 def check_lipschitz(s_mat, v, w):
-    """|angle(SV, W) - angle(V, W)| <= C ||S - I|| with the module constant C."""
+    """|angle(SV, W) - angle(V, W)| <= C ||S - I||; SV is refused as in check_near_identity."""
     s = as_matrix(s_mat)
-    sv = subspace_from_spanning(s @ v.basis)
-    lhs = abs(max_angle(sv, w) - max_angle(v, w))
+    lhs = abs(max_angle(Subspace(_full_rank_svd(s @ v.basis, SingularMatrix, "S collapses V").y), w) - max_angle(v, w))
     dist = spectral_norm(s - np.eye(s.shape[0]))
-    bound = LIPSCHITZ_CONSTANT * dist
-    return _report(lhs, bound, {"C": LIPSCHITZ_CONSTANT, "dist": dist})
+    return _report(lhs, LIPSCHITZ_CONSTANT * dist, {"C": LIPSCHITZ_CONSTANT, "dist": dist})

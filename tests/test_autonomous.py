@@ -402,14 +402,14 @@ def test_torus_rule_matches_1d_reference(size):
     ],
 )
 def test_quad_config_rejects_degenerate_grids(tmp_path, capsys, kwargs):
-    # the resonant grid is fixed at T_POINTS: a quad config that sets it,
-    # to any value, is bad input
+    # the resonant grid is fixed at T_POINTS: a quad object that sets it,
+    # to any value, is an unknown key and bad input
     path = tmp_path / "r.json"
     resonant = {"omega1": 1.0, "p": 1, "q": 2, "rho1": 0.5, "rho2": 0.25}
     path.write_text(json.dumps({"resonant": resonant, "quad": kwargs}))
     assert main(["autonomous", "--config", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "unknown quad settings: t_points" in captured.err and captured.out == ""
+    assert "unknown autonomous settings: quad" in captured.err and captured.out == ""
 
 
 def block_lines(a, b):

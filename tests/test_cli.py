@@ -13,7 +13,22 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from angval.autonomous import MAX_ORDER, MIN_RHO, T_POINTS
-from angval.cli import _SEARCH_KEYS, build_parser, load_matrix, main, save_matrix
+from angval.cli import (
+    _AUTONOMOUS_KEYS,
+    _BLOCK_KEYS,
+    _CONTINUOUS_KINDS,
+    _DISCRETE_KINDS,
+    _ESTIMATE_KEYS,
+    _ORACLE_KINDS,
+    _RESONANT_KEYS,
+    _SEARCH_KEYS,
+    _SWEEP_KEYS,
+    _TIME_CLASSES,
+    build_parser,
+    load_matrix,
+    main,
+    save_matrix,
+)
 
 
 def write_config(tmp_path, name, cfg):
@@ -549,11 +564,12 @@ _BIRKHOFF = {
     ],
 )
 def test_degenerate_quad_grid_is_exit_2(tmp_path, capsys, command, cfg):
-    # the resonant grid is fixed, so both commands refuse t_points whatever its value
+    # the resonant grid is fixed and neither command takes a quad object: both
+    # refuse it whatever it holds
     path = write_config(tmp_path, "q.json", cfg)
     assert main([command, "--config", path]) == 2
     captured = capsys.readouterr()
-    assert "unknown quad settings: t_points" in captured.err and "value =" not in captured.out
+    assert "unknown %s settings: quad" % command in captured.err and "value =" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -635,11 +651,34 @@ def test_readme_names_the_common_flags():
     assert sorted(re.findall(r"`(--[\w-]+)", sentence)) == sorted(shared - {"-h", "--help"})
 
 
-def test_readme_names_the_search_keys():
-    # the README sentence "`search` accepts ..." lists exactly the keys the CLI reads
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sentence = re.search(r"`search` accepts (.*?)\.", readme, re.S).group(1)
-    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(_SEARCH_KEYS)
+def _key_tables():
+    # every key table of the CLI, by the README phrase that names its object
+    estimate = {"system", *_ESTIMATE_KEYS}
+    tables = {
+        "`discrete`": estimate | set(_TIME_CLASSES["discrete"][2]),
+        "`continuous`": estimate | set(_TIME_CLASSES["continuous"][2]),
+        "`search`": set(_SEARCH_KEYS),
+        "`autonomous`": {"resonant", *_AUTONOMOUS_KEYS},
+        "A block": set(_BLOCK_KEYS),
+        "`resonant`": set(_RESONANT_KEYS),
+        "`sweep`": set(_SWEEP_KEYS),
+    }
+    for kinds in (_DISCRETE_KINDS, _CONTINUOUS_KINDS):
+        for kind, (keys, _) in kinds.items():
+            assert tables.setdefault("`%s`" % kind, {"kind", *keys}) == {"kind", *keys}
+    for kind, keys in _ORACLE_KINDS.items():
+        tables["`%s`" % kind] = {"kind", *keys}
+    tables["`birkhoff`"] |= {"system"}.union(*(timed for _, _, timed in _TIME_CLASSES.values()))
+    return tables
+
+
+def test_readme_names_every_config_key():
+    # each README sentence "<object> accepts ..." lists exactly the keys of the
+    # table through which the CLI reads that object
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    for phrase, keys in _key_tables().items():
+        sentence = re.search(re.escape(phrase) + r" accepts (.*?)\.\s", readme).group(1)
+        assert sorted(set(re.findall(r"`(\w+)`", sentence))) == sorted(keys), phrase
 
 
 def test_readme_states_the_resonant_grid():
@@ -671,7 +710,7 @@ def test_removed_search_keys_are_exit_2(tmp_path, capsys, key, value):
 def test_removed_quad_keys_are_exit_2(tmp_path, capsys, key):
     path = write_config(tmp_path, "q.json", {"blocks": _TWO_BLOCKS, "s": 2, "quad": {key: 8}})
     assert main(["autonomous", "--config", path]) == 2
-    assert "unknown quad settings: %s" % key in capsys.readouterr().err
+    assert "unknown autonomous settings: quad" in capsys.readouterr().err
 
 
 def test_four_block_autonomous_skips_scipy_stats(tmp_path):
@@ -843,6 +882,32 @@ def test_removed_tol_flag_is_exit_2(tmp_path, capsys, tol):
     assert "unrecognized arguments: --tol" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command,cfg,key",
+    [
+        # a misspelled omega made the block a 1x1 real one: value = 0.0 in one dimension less
+        ("autonomous", {"blocks": [{"beta": 0, "omeg": 1, "rho": 0.5}], "s": 1}, "omeg"),
+        # bool("false") turned the gate off, so omega = 1 and 2 gave a value where they exit 3
+        ("autonomous", {"blocks": [{"beta": 0.0, "omega": 1.0, "rho": 0.5}, {"beta": -1.0, "omega": 2.0, "rho": 0.5}],
+                        "s": 2, "override_gate": "false"}, "override_gate"),
+        ("discrete", dict(_IDENTITY, system={"kind": "constant", "matrix": [["0.5", True], [False, "2"]]}), "matrix"),
+        ("oracle", dict(_BIRKHOFF, v0=[["1"], [True]]), "v0"),
+        ("sweep", dict(_SWEEP, qmx=5), "qmx"),
+        ("discrete", dict(_PLANAR, horizn=10**9), "horizn"),
+        # the misspelled search fell back to the default one, and exited 0 where this one exits 4
+        ("continuous", dict(_MODEL2D, serach={"candidates": 1e308}), "serach"),
+        # the resonant rule ran and the rest was ignored
+        ("autonomous", {"resonant": _RESONANT, "blocks": "anything", "s": "x"}, "blocks"),
+    ],
+)
+def test_misread_config_keys_are_exit_2(tmp_path, capsys, command, cfg, key):
+    # each of these once ran, with exit 0, as another experiment than the one asked for
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and key in captured.err
+
+
 # Small valid configs whose every key and list entry, at every nesting level, the property
 # below replaces; together they hold the documented keys of discrete,
 # continuous, autonomous, sweep and oracle.
@@ -860,8 +925,8 @@ _FUZZ_BASES = [
     ("oracle", dict(_BIRKHOFF, time="discrete", v0="v.csv", horizon=8)),
     ("oracle", dict(_BIRKHOFF, time="continuous", system=_MODEL2D["system"], horizon=1.0, step=0.1)),
     ("oracle", {"kind": "fd_derivative", "w": "v.csv", "wdot": "w.csv", "h": 1e-6}),
-    ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "override_gate": True, "quad": {}}),
-    ("autonomous", {"resonant": _RESONANT, "quad": {}}),
+    ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2, "override_gate": True}),
+    ("autonomous", {"resonant": _RESONANT}),
     ("sweep", _FUZZ_SWEEP),
 ]
 _FUZZ_POOL = [0, -1, 1e300, 1e308, 1e-300, True, "1", [], {}, None, 1, 2]
@@ -926,6 +991,31 @@ def test_every_config_value_maps_to_an_exit_code(tmp_path, monkeypatch, capsys, 
         except ValueError:
             continue  # a header, tag or label
         assert math.isfinite(x), out
+
+
+_RENAMED_KEYS = [
+    pytest.param(command, base, path, id="%s%d-%s" % (command, k, ".".join(map(str, path))))
+    for k, (command, base) in enumerate(_FUZZ_BASES)
+    for path in _key_paths(base)
+    if isinstance(path[-1], str)  # a dict key, not a list entry
+]
+
+
+@pytest.mark.parametrize("command,base,path", _RENAMED_KEYS)
+def test_every_misspelled_config_key_is_exit_2(tmp_path, monkeypatch, capsys, command, base, path):
+    # a key of any object, at any depth, with a trailing "_" is a key no table
+    # holds: refused before anything runs, whatever the object
+    cfg = json.loads(json.dumps(base))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1] + "_"] = parent.pop(path[-1])
+    monkeypatch.chdir(tmp_path)
+    save_matrix(tmp_path / "v.csv", np.array([[1.0], [0.0]]))
+    save_matrix(tmp_path / "w.csv", np.array([[math.cos(0.3)], [math.sin(0.3)]]))
+    assert main([command, "--config", write_config(tmp_path, "typo.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 # A line pair and a plane pair whose every entry, in either file, the property

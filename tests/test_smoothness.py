@@ -214,7 +214,7 @@ def test_lipschitz_bound():
         s_mat = np.eye(d) + rng.uniform(0.0, 0.5) * rng.standard_normal((d, d))
         try:
             rep = check_lipschitz(s_mat, v, w)
-        except RankDeficient:
+        except SingularMatrix:
             continue
         assert rep.satisfied
     assert LIPSCHITZ_CONSTANT == pytest.approx(math.pi / 2.0 + math.sqrt(math.pi**2 / 4.0 + 1.0))
@@ -251,6 +251,20 @@ def test_both_s_checks_refuse_by_the_rank_rule():
         check_near_identity(s_mat, v)
     check_angle_bound(np.diag([1.0, 1e-9, 1.0]), v, w)
     check_near_identity(np.diag([1.0, 1e-9, 1.0]), v)
+
+
+def test_three_s_checks_take_span_sv_by_one_rule():
+    # sigma_min(S) = 1.2e-10 passes the rank rule: all three checks read S,
+    # where the QR test against ||SV||_F once refused it in two of them with
+    # RankDeficient; check_lipschitz refuses a collapsed SV as
+    # check_near_identity does
+    v = Subspace(np.eye(3))
+    s_mat = np.diag([1.0, 1.2e-10, 1.0])
+    for rep in (check_angle_bound(s_mat, v, v), check_near_identity(s_mat, v), check_lipschitz(s_mat, v, v)):
+        assert rep.satisfied and rep.lhs <= 1e-15
+    plane = coordinate_subspace(3, [0, 1])
+    with pytest.raises(SingularMatrix, match="S collapses V"):
+        check_lipschitz(np.diag([1.0, 1e-12, 1.0]), plane, plane)
 
 
 def _refuses(check, *args):
