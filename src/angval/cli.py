@@ -181,14 +181,21 @@ def _path(key, x):
     return x
 
 
+class _Required(functools.partial):
+    """The reader of a key that its object must give."""
+
+
 def _object(name, given, readers):
     """The JSON object `given`, each key read by its reader in the order of
-    `readers`; a key with no reader is refused."""
+    `readers`; a key with no reader, and a missing required key, are refused."""
     if not isinstance(given, dict):
         raise ValueError("%s must be a JSON object, got %r" % (name, given))
     unknown = sorted(set(given) - set(readers))
     if unknown:
         raise ValueError("unknown %s settings: %s" % (name, ", ".join(unknown)))
+    missing = sorted(key for key, read in readers.items() if isinstance(read, _Required) and key not in given)
+    if missing:
+        raise ValueError("missing %s settings: %s" % (name, ", ".join(missing)))
     return {key: read(key, given[key]) for key, read in readers.items() if key in given}
 
 
@@ -199,13 +206,15 @@ def _nested(readers):
 
 # system kinds of each time class: kind -> (its keys besides kind, the system its settings describe)
 _DISCRETE_KINDS = {
-    "constant": ({"matrix": _array}, lambda c: DiscreteSystem.constant(c["matrix"])),
-    "cycle": ({"matrices": _array}, lambda c: DiscreteSystem.from_sequence(c["matrices"], cycle=True)),
-    "planar_rotation": ({"rho": _number, "phi": _number}, lambda c: DiscreteSystem.planar_rotation(c["rho"], c["phi"])),
+    "constant": ({"matrix": _Required(_array)}, lambda c: DiscreteSystem.constant(c["matrix"])),
+    "cycle": ({"matrices": _Required(_array)}, lambda c: DiscreteSystem.from_sequence(c["matrices"], cycle=True)),
+    "planar_rotation": (dict.fromkeys(("rho", "phi"), _Required(_number)),
+                        lambda c: DiscreteSystem.planar_rotation(c["rho"], c["phi"])),
 }
 _CONTINUOUS_KINDS = {
-    "constant": ({"matrix": _array}, lambda c: ContinuousSystem.from_constant(c["matrix"])),
-    "model2d": ({"rho": _number, "omega": _number}, lambda c: ContinuousSystem.model2d(c["rho"], c["omega"])),
+    "constant": ({"matrix": _Required(_array)}, lambda c: ContinuousSystem.from_constant(c["matrix"])),
+    "model2d": (dict.fromkeys(("rho", "omega"), _Required(_number)),
+                lambda c: ContinuousSystem.model2d(c["rho"], c["omega"])),
 }
 
 
@@ -232,24 +241,32 @@ def build_search_config(cfg, seed):
     return SubspaceSearchConfig(seed=seed, **_object("search", cfg.get("search", {}), _SEARCH_KEYS))
 
 
+def _block(given):
+    # a 1x1 real block gives only beta; a block that gives omega or rho is a
+    # 2x2 block, which needs all three
+    real = not (isinstance(given, dict) and {"omega", "rho"} & set(given))
+    b = _object("block", given, _BLOCK_KEYS if real else dict.fromkeys(_BLOCK_KEYS, _Required(_number)))
+    return RealBlock(**b) if real else ComplexBlock(**b)
+
+
 def _schur_spec(key, blocks):
-    # a 1x1 real block gives only beta; a 2x2 block gives beta, omega and rho
-    blocks = [_object("block", b, _BLOCK_KEYS) for b in blocks]
-    return SchurSpec(tuple(RealBlock(**b) if set(b) == {"beta"} else ComplexBlock(**b) for b in blocks))
+    return SchurSpec(tuple(_block(b) for b in blocks))
 
 
 # the keys of the other JSON objects the commands read; a time class adds its
 # system and horizon keys to those of an estimate and of a birkhoff oracle
 _ESTIMATE_KEYS = {"s": _integral, "variant": _text, "search": _nested(_SEARCH_KEYS)}
-_BLOCK_KEYS = dict.fromkeys(("beta", "omega", "rho"), _number)
-_RESONANT_KEYS = {"omega1": _number, "p": _integral, "q": _integral, "rho1": _number, "rho2": _number}
-_AUTONOMOUS_KEYS = {"blocks": _schur_spec, "s": _integral, "override_gate": _flag}
-_SWEEP_KEYS = {"omega1": _number, "rho1": _number, "kappa_grid": _array, "rho2_grid": _array, "qmax": _integral}
+_BLOCK_KEYS = {"beta": _Required(_number), "omega": _number, "rho": _number}
+_RESONANT_KEYS = {"omega1": _Required(_number), "p": _Required(_integral), "q": _Required(_integral),
+                  "rho1": _Required(_number), "rho2": _Required(_number)}
+_AUTONOMOUS_KEYS = {"blocks": _Required(_schur_spec), "s": _Required(_integral), "override_gate": _flag}
+_SWEEP_KEYS = {"omega1": _Required(_number), "rho1": _Required(_number), "kappa_grid": _array, "rho2_grid": _array,
+               "qmax": _integral}
 _ORACLE_KINDS = {
-    "maxmin": {"v": _path, "w": _path, "samples": _integral},
+    "maxmin": {"v": _Required(_path), "w": _Required(_path), "samples": _integral},
     # v0 is a matrix path or an inline matrix
-    "birkhoff": {"time": _text, "v0": lambda key, x: x if isinstance(x, str) else _array(key, x)},
-    "fd_derivative": {"w": _path, "wdot": _path, "h": _number},
+    "birkhoff": {"time": _text, "v0": _Required(lambda key, x: x if isinstance(x, str) else _array(key, x))},
+    "fd_derivative": {"w": _Required(_path), "wdot": _Required(_path), "h": _Required(_number)},
 }
 
 
@@ -297,15 +314,16 @@ def cmd_derivative(args):
 
 # time class -> (system from config, estimator, the keys of its horizon [and step])
 _TIME_CLASSES = {
-    "discrete": (build_discrete_system, estimate_angular_value, {"horizon": _integral}),
-    "continuous": (build_continuous_system, estimate_angular_value_ct, {"horizon": _number, "step": _number}),
+    "discrete": (build_discrete_system, estimate_angular_value, {"horizon": _Required(_integral)}),
+    "continuous": (build_continuous_system, estimate_angular_value_ct,
+                   dict.fromkeys(("horizon", "step"), _Required(_number))),
 }
 
 
 def cmd_estimate(args):
     cfg = load_config(args)
     build, estimate, horizon = _TIME_CLASSES[args.command]
-    c = _object(args.command, cfg, {"system": lambda _, x: build(x), **_ESTIMATE_KEYS, **horizon})
+    c = _object(args.command, cfg, {"system": _Required(lambda _, x: build(x)), **_ESTIMATE_KEYS, **horizon})
     rep = estimate(c["system"], c.get("s", 1), c.get("variant", "sup-limsup"), *(c[key] for key in horizon),
                    SubspaceSearchConfig(seed=args.seed, **c.get("search", {})))
     headers = ("variant", "s", "horizon", "value", "tail_sup", "tail_inf", "candidates", "evaluations")
@@ -385,7 +403,7 @@ def cmd_oracle(args):
         if time_kind not in ("discrete", "continuous"):
             raise ValueError("oracle time must be discrete or continuous")
         build, _, timed = _TIME_CLASSES[time_kind]
-        keys.update(system=lambda _, x: build(x), **timed)
+        keys.update(system=_Required(lambda _, x: build(x)), **timed)
     c = _object("%s oracle" % kind, cfg, keys)
     if kind == "maxmin":
         samples = c.get("samples", 10**6)

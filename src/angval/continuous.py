@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
-from .errors import BudgetExceeded, StepUnstable
+from .errors import BudgetExceeded, SingularMatrix, StepUnstable
 from .linalg import spectral_norms, square_matrix
 from .search import check_budget, default_sample_times, run_search
 
@@ -20,16 +20,28 @@ from .search import check_budget, default_sample_times, run_search
 @dataclass(frozen=True)
 class ContinuousSystem:
     """Generator t -> A(t).  `constant` holds the matrix when A is autonomous,
-    which unlocks propagation by precomputed powers of the one-step map."""
+    which unlocks propagation by precomputed powers of the one-step map.
+    `batch`, when given, maps an array of n times to the (n, d, d) stack of
+    A at those times in one call; propagation asks for the times of a chunk
+    of steps at once, and without it calls `generator` once per time."""
 
     generator: Callable[[float], np.ndarray]
     dim: int
     constant: Optional[np.ndarray] = None
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def matrix(self, t):
         if self.constant is not None:
             return self.constant
         return self.generator(float(t))
+
+    def matrices(self, times):
+        """The (n, d, d) stack of A at the n times, in their order."""
+        if self.constant is not None:
+            return np.broadcast_to(self.constant, (len(times), self.dim, self.dim))
+        if self.batch is not None:
+            return self.batch(times)
+        return np.array([self.generator(t) for t in times.tolist()])
 
     @staticmethod
     def from_constant(a):
@@ -69,20 +81,18 @@ def _step_powers(a, h, nsteps):
     return _unit_powers(m, nsteps)
 
 
-def _varying_blocks(gen, h, nsteps, a0):
+def _varying_blocks(sys, h, nsteps, a0):
     """Yield the segment blocks (unit-scaled products, A at their end nodes)
-    of a time-varying generator.  The RK4 step maps of up to _MAX_BLOCK steps
-    at a time come from one generator call at each time one-step RK4 uses."""
+    of a time-varying system.  The RK4 step maps of up to _MAX_BLOCK steps
+    at a time come from one `sys.matrices` call at the times one-step RK4
+    uses, t_k + h/2 and t_k + h for each step k, interleaved."""
     eye = np.eye(len(a0))
 
     def chunks(a0):
         for k0 in range(0, nsteps, _MAX_BLOCK):
-            amid, nodes = [], [a0]
-            for k in range(k0, min(k0 + _MAX_BLOCK, nsteps)):
-                t = k * h
-                amid.append(gen(t + 0.5 * h))
-                nodes.append(gen(t + h))
-            amid, nodes = np.array(amid), np.array(nodes)
+            t = np.arange(k0, min(k0 + _MAX_BLOCK, nsteps)) * h
+            a = sys.matrices(np.stack([t + 0.5 * h, t + h], axis=1).ravel())
+            amid, nodes = a[0::2], np.concatenate([a0[None], a[1::2]])
             k2 = amid @ (eye + (0.5 * h) * nodes[:-1])
             k3 = amid @ (eye + (0.5 * h) * k2)
             k4 = nodes[1:] @ (eye + h * k3)
@@ -112,7 +122,7 @@ def _propagator(sys, h, nsteps):
     def propagate(b0, store_bases):
         if a is None:
             a0 = sys.matrix(0.0)
-            blocks, a_at = _varying_blocks(sys.matrix, h, nsteps, a0), lambda ends: ends
+            blocks, a_at = _varying_blocks(sys, h, nsteps, a0), lambda ends: ends
         else:
             a0, blocks, a_at = a, _power_blocks(powers, nsteps), lambda ends: a
         speeds, bases = [np.atleast_1d(_speeds(b0, a0 @ b0))], [b0[None]]
@@ -209,19 +219,35 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     )
 
 
+def _batched(batch, dim):
+    """The time-varying system of a batch; one time is a batch of one."""
+    return ContinuousSystem(generator=lambda t: batch(np.array([t]))[0], dim=dim, batch=batch)
+
+
 def kinematic_transform_ct(sys, q_fn, qdot_fn):
     """Change of variables u = Q(t) v: generator (Qdot + Q A) Q^{-1}.
 
     The transformed flow satisfies Phi~(t, tau) Q(tau) = Q(t) Phi(t, tau).
+    Q and Qdot are called once per time, with a float; a Q(t) that is
+    singular at working precision raises SingularMatrix.
     """
 
-    def gen(t):
-        q = np.asarray(q_fn(t), dtype=float)
-        qdot = np.asarray(qdot_fn(t), dtype=float)
-        rhs = qdot + q @ sys.matrix(t)
-        return np.linalg.solve(q.T, rhs.T).T
+    def batch(times):
+        ts = times.tolist()
+        q = np.array([q_fn(t) for t in ts], dtype=float)
+        qdot = np.array([qdot_fn(t) for t in ts], dtype=float)
+        rhs = qdot + q @ sys.matrices(times)
+        try:
+            x = np.linalg.solve(q.swapaxes(-1, -2), rhs.swapaxes(-1, -2))
+        except np.linalg.LinAlgError as exc:
+            # one singular member fails the whole stack
+            raise SingularMatrix(
+                "kinematic transform matrix Q(t) is singular at one of the times %r to %r" % (ts[0], ts[-1])
+            ) from exc
+        # in C order: stacked products round a transposed stack differently
+        return np.ascontiguousarray(x.swapaxes(-1, -2))
 
-    return ContinuousSystem(generator=gen, dim=sys.dim)
+    return _batched(batch, sys.dim)
 
 
 def trace_normalize(sys):
@@ -231,8 +257,8 @@ def trace_normalize(sys):
         a = sys.constant - (np.trace(sys.constant) / d) * np.eye(d)
         return ContinuousSystem.from_constant(a)
 
-    def gen(t):
-        a = sys.matrix(t)
-        return a - (np.trace(a) / d) * np.eye(d)
+    def batch(times):
+        a = sys.matrices(times)
+        return a - (np.trace(a, axis1=-2, axis2=-1)[:, None, None] / d) * np.eye(d)
 
-    return ContinuousSystem(generator=gen, dim=d)
+    return _batched(batch, d)

@@ -748,6 +748,33 @@ _PLANAR = {"system": {"kind": "planar_rotation", "rho": 0.5, "phi": 0.3}, "horiz
 @pytest.mark.parametrize(
     "command,cfg,message",
     [
+        # the three configs that once exited 2 with bare exception text
+        ("discrete", {"system": _PLANAR["system"]}, "missing discrete settings: horizon"),
+        ("sweep", {"rho1": 0.5}, "missing sweep settings: omega1"),
+        ("autonomous", {"blocks": [{"beta": 0, "omega": 1}], "s": 1}, "missing block settings: rho"),
+        ("continuous", {"system": _MODEL2D["system"], "horizon": 10.0}, "missing continuous settings: step"),
+        ("continuous", {"horizon": 10.0, "step": 0.1}, "missing continuous settings: system"),
+        ("discrete", dict(_PLANAR, system={"kind": "planar_rotation", "rho": 0.5}), "missing system settings: phi"),
+        ("discrete", dict(_IDENTITY, system={}), "missing system settings: matrix"),
+        ("autonomous", {"blocks": [{}], "s": 1}, "missing block settings: beta"),
+        ("autonomous", {"blocks": [{"omega": 1}], "s": 1}, "missing block settings: beta, rho"),
+        ("autonomous", {"blocks": _TWO_BLOCKS}, "missing autonomous settings: s"),
+        ("autonomous", {"resonant": {"omega1": 1.0, "rho1": 0.5, "rho2": 0.25}}, "missing resonant settings: p, q"),
+        ("oracle", {"kind": "birkhoff", "system": _PLANAR["system"], "horizon": 250}, "missing birkhoff oracle settings: v0"),
+        ("oracle", {"kind": "fd_derivative", "w": "w.csv", "wdot": "w.csv"}, "missing fd_derivative oracle settings: h"),
+    ],
+)
+def test_missing_config_key_is_named(tmp_path, capsys, command, cfg, message):
+    # a key the command needs is refused by the name of its object, as an
+    # unknown key is, before anything runs
+    assert main([command, "--config", write_config(tmp_path, "m.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
         ("continuous", dict(_MODEL2D, step=0), "positive horizon and step"),
         ("continuous", dict(_MODEL2D, horizon=-5), "positive horizon and step"),
         ("continuous", dict(_MODEL2D, search={"sample_times": [0.0]}), "sample times must lie"),

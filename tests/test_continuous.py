@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from angval.continuous import (
     propagate_subspace,
     trace_normalize,
 )
-from angval.errors import StepUnstable
+from angval.errors import SingularMatrix, StepUnstable
 from angval.grassmann import Subspace, max_angle, subspace_from_spanning
 from angval.linalg import ComplexBlock, qr
 from angval.search import SubspaceSearchConfig
@@ -294,6 +295,86 @@ def test_kinematic_transform_matches_stepwise(s):
     assert np.max(np.abs(block.bases - bases)) <= 1e-12
 
 
+@pytest.mark.parametrize("t_end, h", [(7.3, 0.0123), (0.05, 0.02), (3.0, 1.0)])
+def test_batch_call_times_match_stepwise(t_end, h):
+    # one batch call per chunk of 256 steps; the times it is given, in order,
+    # are those of the scalar path's calls after t = 0
+    a = block_diag(ComplexBlock(0.0, 1.0, 0.5).matrix(), ComplexBlock(-50.0, 1.0, 1.0).matrix())
+    calls, batches = [], []
+
+    def gen(t):
+        calls.append(t)
+        return a
+
+    def batch(times):
+        batches.append(times.tolist())
+        return np.broadcast_to(a, (len(times), 4, 4))
+
+    sys = ContinuousSystem.time_varying(gen, 4)
+    v0 = Subspace(np.eye(4)[:, :2])
+    want = propagate_subspace(sys, v0, t_end, h)
+    scalar_calls, calls[:] = list(calls), []
+    got = propagate_subspace(dataclasses.replace(sys, batch=batch), v0, t_end, h)
+    nsteps = max(int(round(t_end / h)), 1)
+    assert len(batches) == -(-nsteps // _MAX_BLOCK)
+    assert [t for times in batches for t in times] == scalar_calls[1:]
+    assert calls == [0.0]
+    assert np.array_equal(got.integrand, want.integrand) and np.array_equal(got.bases, want.bases)
+
+
+@st.composite
+def _gauges(draw):
+    """A constant or time-varying A (d <= 5), a smooth Q(t) and its Qdot:
+    q(t) I, or a diagonal, with every entry bounded away from 0; and a
+    starting subspace of dimension 1 or 2."""
+    d = draw(st.integers(2, 5))
+    s = draw(st.integers(1, min(2, d - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((2, d, d))
+    omega = rng.uniform(0.1, 3.0)
+    if draw(st.booleans()):
+        sys = ContinuousSystem.from_constant(a)
+    else:
+        sys = ContinuousSystem.time_varying(lambda t: a + math.sin(omega * t) * b, d)
+    # entries c0 + c1 sin(w t + p) with |c1| <= |c0| / 2
+    n = 1 if draw(st.booleans()) else d
+    c0 = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+    c1, w, p = 0.5 * np.abs(c0) * rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 6.0, n)
+
+    def q_fn(t):
+        return np.diag(np.broadcast_to(c0 + c1 * np.sin(w * t + p), d))
+
+    def qdot_fn(t):
+        return np.diag(np.broadcast_to(c1 * w * np.cos(w * t + p), d))
+
+    return sys, q_fn, qdot_fn, haar_subspace(rng, d, s)
+
+
+@settings(max_examples=40)
+@given(_gauges(), st.floats(0.01, 0.1), st.integers(1, 600))
+def test_batched_transforms_match_scalar_path(gauge, h, nsteps):
+    # the stacked transform of a chunk of times gives the same bits as the
+    # transform of each time on its own, through the scalar path
+    sys, q_fn, qdot_fn, v0 = gauge
+    kinematic = kinematic_transform_ct(sys, q_fn, qdot_fn)
+    for tsys in (kinematic, trace_normalize(kinematic)):
+        batched = propagate_subspace(tsys, v0, nsteps * h, h)
+        scalar = propagate_subspace(dataclasses.replace(tsys, batch=None), v0, nsteps * h, h)
+        assert np.array_equal(batched.integrand, scalar.integrand)
+        assert np.array_equal(batched.bases, scalar.bases)
+
+
+def test_singular_gauge_raises():
+    # Q(t) = diag(1, t - 1) is singular at the node t = 1
+    sys = kinematic_transform_ct(
+        ContinuousSystem.model2d(0.5, 1.0),
+        lambda t: np.diag([1.0, t - 1.0]),
+        lambda t: np.diag([0.0, 1.0]),
+    )
+    with pytest.raises(SingularMatrix, match="singular"):
+        angular_integral(sys, Subspace(np.array([[1.0], [0.0]])), 0.0, 2.0, 0.5)
+
+
 def test_block_length_shrinks_with_spectral_gap():
     rot = ComplexBlock(0.0, 1.0, 0.5).matrix()
     assert len(_step_powers(rot, 0.02, 10**6)) == 256
@@ -310,7 +391,8 @@ def test_varying_segments_halve_within_chunks():
     rot = ComplexBlock(0.0, 1.0, 0.5).matrix()
 
     def layout(a):
-        blocks = _varying_blocks(lambda t: a + 0.3 * math.sin(t) * np.eye(4), 0.02, 600, a)
+        sys = ContinuousSystem.time_varying(lambda t: a + 0.3 * math.sin(t) * np.eye(4), 4)
+        blocks = _varying_blocks(sys, 0.02, 600, a)
         return [(*prods.shape[:2], len(ends)) for prods, ends in blocks]
 
     assert layout(block_diag(rot, rot)) == [(16, 16, 256), (16, 16, 256), (6, 16, 88)]
