@@ -12,53 +12,42 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
-from .errors import BudgetExceeded, SingularMatrix, StepUnstable
-from .linalg import spectral_norms, square_matrix
+from .errors import BudgetExceeded, DimensionMismatch, StepUnstable
+from .linalg import solve_right, spectral_norms, square_matrix
 from .search import check_budget, default_sample_times, run_search
 
 
 @dataclass(frozen=True)
 class ContinuousSystem:
-    """Generator t -> A(t).  `constant` holds the matrix when A is autonomous,
-    which unlocks propagation by precomputed powers of the one-step map.
-    `batch`, when given, maps an array of n times to the (n, d, d) stack of
-    A at those times in one call; propagation asks for the times of a chunk
-    of steps at once, and without it calls `generator` once per time."""
+    """Generator A(t) as `matrices`: n times -> the (n, d, d) stack of A at
+    them, in their order, asked for a chunk of steps at once.  `constant`
+    holds the matrix when A is autonomous, which unlocks propagation by
+    precomputed powers of the one-step map."""
 
-    generator: Callable[[float], np.ndarray]
+    matrices: Callable[[np.ndarray], np.ndarray]
     dim: int
     constant: Optional[np.ndarray] = None
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def matrix(self, t):
-        if self.constant is not None:
-            return self.constant
-        return self.generator(float(t))
-
-    def matrices(self, times):
-        """The (n, d, d) stack of A at the n times, in their order."""
-        if self.constant is not None:
-            return np.broadcast_to(self.constant, (len(times), self.dim, self.dim))
-        if self.batch is not None:
-            return self.batch(times)
-        return np.array([self.generator(t) for t in times.tolist()])
+        return self.matrices(np.array([float(t)]))[0]
 
     @staticmethod
     def from_constant(a):
         a = square_matrix(a)
-        return ContinuousSystem(generator=lambda t: a, dim=a.shape[0], constant=a)
+        return ContinuousSystem(lambda times: np.broadcast_to(a, (len(times), *a.shape)), len(a), a)
 
     @staticmethod
     def model2d(rho, omega):
-        """Elliptic rotation generator omega * D_rho J D_rho^{-1}."""
-        if not (np.isfinite(rho) and rho != 0.0):
-            raise ValueError("rho must be finite and nonzero, got %r" % (rho,))
+        """Elliptic rotation generator omega * D_rho J D_rho^{-1}; an overflowing omega / rho fails later."""
+        if not (np.isfinite(rho) and rho != 0.0 and np.isfinite(omega)):
+            raise ValueError("rho must be finite and nonzero and omega finite, got %r and %r" % (rho, omega))
         a = np.array([[0.0, -omega / rho], [rho * omega, 0.0]])
-        return ContinuousSystem.from_constant(a)
+        return ContinuousSystem(lambda times: np.broadcast_to(a, (len(times), 2, 2)), 2, a)
 
     @staticmethod
     def time_varying(fn, dim):
-        return ContinuousSystem(generator=fn, dim=dim)
+        """The system of a callback t -> A(t), called once per float time, in order."""
+        return ContinuousSystem(lambda times: np.array([fn(t) for t in times.tolist()]), dim)
 
 
 @dataclass(frozen=True)
@@ -145,6 +134,8 @@ def _resolve_steps(t_end, h):
 
 
 def _trajectory(sys, v0, t_end, h, store_bases):
+    if v0.d != sys.dim:
+        raise DimensionMismatch("v0 lies in R^%d but the system acts on R^%d" % (v0.d, sys.dim))
     nsteps, h_eff = _resolve_steps(t_end, h)
     bases, integrand = _propagator(sys, h_eff, nsteps)(v0.basis, store_bases)
     times = np.arange(nsteps + 1) * h_eff
@@ -219,11 +210,6 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     )
 
 
-def _batched(batch, dim):
-    """The time-varying system of a batch; one time is a batch of one."""
-    return ContinuousSystem(generator=lambda t: batch(np.array([t]))[0], dim=dim, batch=batch)
-
-
 def kinematic_transform_ct(sys, q_fn, qdot_fn):
     """Change of variables u = Q(t) v: generator (Qdot + Q A) Q^{-1}.
 
@@ -232,22 +218,13 @@ def kinematic_transform_ct(sys, q_fn, qdot_fn):
     singular at working precision raises SingularMatrix.
     """
 
-    def batch(times):
+    def matrices(times):
         ts = times.tolist()
         q = np.array([q_fn(t) for t in ts], dtype=float)
         qdot = np.array([qdot_fn(t) for t in ts], dtype=float)
-        rhs = qdot + q @ sys.matrices(times)
-        try:
-            x = np.linalg.solve(q.swapaxes(-1, -2), rhs.swapaxes(-1, -2))
-        except np.linalg.LinAlgError as exc:
-            # one singular member fails the whole stack
-            raise SingularMatrix(
-                "kinematic transform matrix Q(t) is singular at one of the times %r to %r" % (ts[0], ts[-1])
-            ) from exc
-        # in C order: stacked products round a transposed stack differently
-        return np.ascontiguousarray(x.swapaxes(-1, -2))
+        return solve_right(qdot + q @ sys.matrices(times), q, "times %r to %r" % (ts[0], ts[-1]))
 
-    return _batched(batch, sys.dim)
+    return ContinuousSystem(matrices, sys.dim)
 
 
 def trace_normalize(sys):
@@ -257,8 +234,8 @@ def trace_normalize(sys):
         a = sys.constant - (np.trace(sys.constant) / d) * np.eye(d)
         return ContinuousSystem.from_constant(a)
 
-    def batch(times):
+    def matrices(times):
         a = sys.matrices(times)
         return a - (np.trace(a, axis1=-2, axis2=-1)[:, None, None] / d) * np.eye(d)
 
-    return _batched(batch, d)
+    return ContinuousSystem(matrices, d)

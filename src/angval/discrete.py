@@ -12,48 +12,56 @@ import numpy as np
 
 from . import grassmann
 from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
-from .errors import SingularMatrix, StepUnstable
-from .linalg import rotation, square_matrix
+from .errors import DimensionMismatch, SingularMatrix, StepUnstable
+from .linalg import rotation, solve_right, square_matrix
 from .search import check_budget, default_sample_times, run_search
 
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Step matrices A_n indexed by n >= 0, produced by `generator`.
+    """Step matrices A_n as `matrices`: n integer steps -> the (n, d, d)
+    stack of A at them, in their order, asked for a chunk of steps at once.
     `constant_matrix` holds the matrix when A_n does not depend on n, which
     unlocks propagation by precomputed powers of it."""
 
-    generator: Callable[[int], np.ndarray]
+    matrices: Callable[[np.ndarray], np.ndarray]
     dim: int
     constant_matrix: Optional[np.ndarray] = None
 
     def matrix(self, n):
-        return self.generator(int(n))
+        return self.matrices(np.array([int(n)]))[0]
 
     @staticmethod
     def constant(a):
         a = square_matrix(a)
-        return DiscreteSystem(generator=lambda n: a, dim=a.shape[0], constant_matrix=a)
+        return DiscreteSystem(lambda ns: np.broadcast_to(a, (len(ns), *a.shape)), len(a), a)
 
     @staticmethod
     def from_sequence(mats, cycle=False):
+        """A_n = mats[n] for n in 0..len-1 from one stack, or mats[n % len] for every n."""
         mats = [square_matrix(m) for m in mats]
         if len({m.shape for m in mats}) != 1:
             raise ValueError("a matrix sequence needs at least one matrix, all of one shape")
+        stack = np.array(mats)
 
-        def gen(n):
-            return mats[n % len(mats)] if cycle else mats[n]
+        def matrices(ns):
+            if cycle:
+                return stack[ns % len(stack)]
+            outside = (ns < 0) | (ns >= len(stack))
+            if outside.any():
+                raise ValueError("a sequence of %d matrices has no step %d" % (len(stack), ns[outside][0]))
+            return stack[ns]
 
-        return DiscreteSystem(generator=gen, dim=mats[0].shape[0])
+        return DiscreteSystem(matrices, stack.shape[1])
 
     @staticmethod
     def planar_rotation(rho, phi):
-        """The 2x2 map D_rho T_phi D_rho^{-1}: a rotation sheared to an ellipse."""
+        """The 2x2 map D_rho T_phi D_rho^{-1}: a rotation sheared to an ellipse.
+        A 1 / rho that overflows fails later, in propagation."""
         if not (math.isfinite(rho) and rho != 0.0):
             raise ValueError("rho must be finite and nonzero, got %r" % (rho,))
-        d = np.diag([1.0, rho])
-        dinv = np.diag([1.0, 1.0 / rho])
-        return DiscreteSystem.constant(d @ rotation(phi) @ dinv)
+        a = np.diag([1.0, rho]) @ rotation(phi) @ np.diag([1.0, 1.0 / rho])
+        return DiscreteSystem(lambda ns: np.broadcast_to(a, (len(ns), 2, 2)), 2, a)
 
 
 def solution_operator(sys, n, m):
@@ -89,7 +97,7 @@ def _propagator(sys, n):
         if powers is not None:
             return _power_blocks(powers, n)
         steps = (range(k0, min(k0 + _MAX_BLOCK, n)) for k0 in range(0, n, _MAX_BLOCK))
-        chunks = ((np.array([sys.matrix(k) for k in ks]), range(ks.start + 1, ks.stop + 1)) for ks in steps)
+        chunks = ((sys.matrices(np.arange(ks.start, ks.stop)), range(ks.start + 1, ks.stop + 1)) for ks in steps)
         return _segment_blocks(chunks)
 
     @_quiet
@@ -120,6 +128,8 @@ def angle_sum(sys, v, m, n):
     m, n = int(m), int(n)
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
+    if v.d != sys.dim:
+        raise DimensionMismatch("v lies in R^%d but the system acts on R^%d" % (v.d, sys.dim))
     return float(_propagator(sys, n)(v.basis, np.array([n]), m)[0])
 
 
@@ -162,16 +172,14 @@ def kinematic_transform(sys, q_seq):
     """Change of variables u_n = Q_n v_n: step matrices Q_{n+1} A_n Q_n^{-1}.
 
     The transformed solution operator satisfies
-    Phi~(n, m) Q_m = Q_n Phi(n, m).
+    Phi~(n, m) Q_m = Q_n Phi(n, m).  Q is called at n and n + 1 for each
+    step n; a Q_n that is singular at working precision raises SingularMatrix.
     """
 
-    def gen(n):
-        a = sys.matrix(n)
-        qn1 = np.asarray(q_seq(n + 1), dtype=float)
-        qn = np.asarray(q_seq(n), dtype=float)
-        try:
-            return np.linalg.solve(qn.T, (qn1 @ a).T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix("kinematic transform matrix is singular") from exc
+    def matrices(ns):
+        ks = ns.tolist()
+        q = np.array([q_seq(k) for k in ks], dtype=float)
+        qn1 = np.array([q_seq(k + 1) for k in ks], dtype=float)
+        return solve_right(qn1 @ sys.matrices(ns), q, "steps %d to %d" % (ks[0], ks[-1]))
 
-    return DiscreteSystem(generator=gen, dim=sys.dim)
+    return DiscreteSystem(matrices, sys.dim)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBlock, NoConvergence, RankDeficient
+from .errors import InvalidBlock, NoConvergence, RankDeficient, SingularMatrix
 
 
 def as_matrix(m):
@@ -29,11 +29,23 @@ def as_matrix(m):
 
 
 def square_matrix(m):
-    """Coerce to a square 2-d float64 array, such as a system matrix."""
+    """Coerce to a square 2-d float64 array, such as a system matrix, and
+    reject non-finite entries."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
-    return a
+    return as_matrix(a)
+
+
+def solve_right(rhs, q, where):
+    """x = rhs q^{-1} for each member of (n, d, d) stacks, returned in C order
+    (stacked products round a transposed stack differently).  A q singular at
+    working precision raises SingularMatrix, naming `where`."""
+    try:
+        x = np.linalg.solve(q.swapaxes(-1, -2), rhs.swapaxes(-1, -2))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("kinematic transform matrix Q is singular at one of the %s" % where) from exc
+    return np.ascontiguousarray(x.swapaxes(-1, -2))
 
 
 # The rank test of every orthonormal basis: a diagonal entry of R at most

@@ -141,6 +141,8 @@ def birkhoff_average(system, v0, horizon, step=None):
             step_map = lambda k: expm(step * system.matrix((k + 0.5) * step))
     else:
         raise TypeError("unsupported system type %r" % (type(system).__name__,))
+    if basis.shape[0] != system.dim:
+        raise DimensionMismatch("v0 lies in R^%d but the system acts on R^%d" % (basis.shape[0], system.dim))
     total = 0.0
     for k in range(nsteps):
         image = step_map(k) @ q

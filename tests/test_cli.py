@@ -437,6 +437,20 @@ def test_oracle_birkhoff_rotation(tmp_path, capsys):
     assert abs(value_from(capsys) - 0.3) < 1e-12
 
 
+def test_oracle_birkhoff_dimension_mismatch_names_v0(tmp_path, capsys):
+    # a v0 in R^2 against a system on R^3 is bad input that names v0 and
+    # both dimensions, not a matmul error
+    cfg = write_config(
+        tmp_path,
+        "o.json",
+        {"kind": "birkhoff", "system": {"kind": "constant", "matrix": np.eye(3).tolist()}, "v0": [[1], [0]],
+         "horizon": 10},
+    )
+    assert main(["oracle", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "v0" in err and "R^2" in err and "R^3" in err and "matmul" not in err
+
+
 def test_oracle_fd_derivative(tmp_path, capsys):
     w = tmp_path / "w.csv"
     wd = tmp_path / "wd.csv"

@@ -297,8 +297,9 @@ def test_kinematic_transform_matches_stepwise(s):
 
 @pytest.mark.parametrize("t_end, h", [(7.3, 0.0123), (0.05, 0.02), (3.0, 1.0)])
 def test_batch_call_times_match_stepwise(t_end, h):
-    # one batch call per chunk of 256 steps; the times it is given, in order,
-    # are those of the scalar path's calls after t = 0
+    # one `matrices` call at t = 0, a stack of one, then one per chunk of 256
+    # steps; the times they are given, in order, are those of the scalar
+    # path's calls
     a = block_diag(ComplexBlock(0.0, 1.0, 0.5).matrix(), ComplexBlock(-50.0, 1.0, 1.0).matrix())
     calls, batches = [], []
 
@@ -306,7 +307,7 @@ def test_batch_call_times_match_stepwise(t_end, h):
         calls.append(t)
         return a
 
-    def batch(times):
+    def matrices(times):
         batches.append(times.tolist())
         return np.broadcast_to(a, (len(times), 4, 4))
 
@@ -314,11 +315,11 @@ def test_batch_call_times_match_stepwise(t_end, h):
     v0 = Subspace(np.eye(4)[:, :2])
     want = propagate_subspace(sys, v0, t_end, h)
     scalar_calls, calls[:] = list(calls), []
-    got = propagate_subspace(dataclasses.replace(sys, batch=batch), v0, t_end, h)
+    got = propagate_subspace(dataclasses.replace(sys, matrices=matrices), v0, t_end, h)
     nsteps = max(int(round(t_end / h)), 1)
-    assert len(batches) == -(-nsteps // _MAX_BLOCK)
-    assert [t for times in batches for t in times] == scalar_calls[1:]
-    assert calls == [0.0]
+    assert len(batches) == 1 + -(-nsteps // _MAX_BLOCK)
+    assert [t for times in batches[1:] for t in times] == scalar_calls[1:]
+    assert batches[0] == [0.0] and calls == []
     assert np.array_equal(got.integrand, want.integrand) and np.array_equal(got.bases, want.bases)
 
 
@@ -359,7 +360,7 @@ def test_batched_transforms_match_scalar_path(gauge, h, nsteps):
     kinematic = kinematic_transform_ct(sys, q_fn, qdot_fn)
     for tsys in (kinematic, trace_normalize(kinematic)):
         batched = propagate_subspace(tsys, v0, nsteps * h, h)
-        scalar = propagate_subspace(dataclasses.replace(tsys, batch=None), v0, nsteps * h, h)
+        scalar = propagate_subspace(ContinuousSystem.time_varying(tsys.matrix, tsys.dim), v0, nsteps * h, h)
         assert np.array_equal(batched.integrand, scalar.integrand)
         assert np.array_equal(batched.bases, scalar.bases)
 

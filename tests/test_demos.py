@@ -1,5 +1,6 @@
 """Every script under demos/ runs to completion against the package source,
-under the suite's warning policy: a RuntimeWarning or UserWarning is an error."""
+under the suite's warning policy: a RuntimeWarning, UserWarning,
+DeprecationWarning or FutureWarning is an error."""
 
 import os
 import subprocess
@@ -15,7 +16,8 @@ def test_demos_exit_0(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for demo in demos:
         proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning", str(demo)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+             "-W", "error::DeprecationWarning", "-W", "error::FutureWarning", str(demo)],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, "%s failed:\n%s" % (demo.name, proc.stderr)
