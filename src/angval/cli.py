@@ -3,8 +3,9 @@
 Matrix files are plain CSV with a `# rows cols` header line.  Structured
 runs (dynamical systems, autonomous specs, sweeps) read a single JSON
 config; the resolved config is embedded verbatim in the run metadata that
-accompanies every --out file.  All angles are radians unless --degrees is
-given, and all outputs are deterministic for a fixed (config, seed).
+accompanies every --out file.  Each command accepts only the flags it reads
+(`_COMMANDS`).  All angles are radians unless --degrees is given, and all
+outputs are deterministic for a fixed (config, seed).
 
 Exit codes: 0 ok, 2 bad input, 3 numerical failure, 4 budget exceeded.
 """
@@ -104,14 +105,9 @@ def _emit(args, headers, rows, meta):
 
 
 def _meta(args, config, **extra):
-    meta = {
-        "version": __version__,
-        "command": args.command,
-        "seed": args.seed,
-        "degrees": args.degrees,
-        "config": config,
-    }
-    meta.update(extra)
+    # a command records --seed and --degrees only if it takes them
+    meta = {"version": __version__, "command": args.command, "config": config, **extra}
+    meta.update((key, getattr(args, key)) for key in ("seed", "degrees") if hasattr(args, key))
     return meta
 
 
@@ -126,8 +122,6 @@ def _finite_number(text, kind=float):
 
 
 def load_config(args):
-    if not args.config:
-        raise ValueError("the %s command needs --config" % args.command)
     with open(args.config) as fh:
         # NaN, Infinity and literals beyond the float range are bad input, not values
         return json.load(fh, parse_float=_finite_number, parse_constant=_finite_number,
@@ -434,51 +428,50 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
+# flag -> its argparse settings
+_FLAGS = {
+    "--config": dict(required=True, help="JSON run configuration"),
+    "--seed": dict(type=int, default=0, help="search / sampling seed"),
+    "--out": dict(help="write CSV here (plus <out>.meta.json)"),
+    "--threads": dict(type=int, help="retired: only 1 is accepted"),
+    "--degrees": dict(action="store_true", help="display angles in degrees"),
+}
+_MATRIX_FLAGS = ("--out", "--degrees")
+_ESTIMATE_FLAGS = ("--config", "--seed", "--out", "--threads")
+_RUN_FLAGS = ("--config", "--out", "--threads")
+# command -> (handler, help, its positional matrix files, the flags it reads)
+_COMMANDS = {
+    "angles": (cmd_angles, "principal angles between subspaces", ("v", "w"), _MATRIX_FLAGS),
+    "metrics": (cmd_metrics, "subspace metrics d1, d2, dF, dsigma", ("v", "w"), _MATRIX_FLAGS),
+    "derivative": (cmd_derivative, "right derivative of the max angle", ("w", "wdot"), _MATRIX_FLAGS),
+    "discrete": (cmd_estimate, "discrete-time angular value estimate", (), _ESTIMATE_FLAGS),
+    "continuous": (cmd_estimate, "continuous-time angular value estimate", (), _ESTIMATE_FLAGS),
+    "autonomous": (cmd_autonomous, "closed-form autonomous angular value", (), _RUN_FLAGS),
+    "sweep": (cmd_sweep, "two-frequency (kappa, rho2) parameter sweep", (), _RUN_FLAGS),
+    "oracle": (cmd_oracle, "slow reference evaluations", (), ("--config", "--seed", "--out", "--degrees")),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
     # built once per process: parse_args reads the parser and never changes it
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, default=0, help="search / sampling seed")
-    common.add_argument("--out", help="write CSV here (plus <out>.meta.json)")
-    common.add_argument("--threads", type=int, default=None, help="retired: only 1 is accepted")
-    common.add_argument("--degrees", action="store_true", help="display angles in degrees")
-
     p = argparse.ArgumentParser(prog="angval", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version="angval " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("angles", parents=[common], help="principal angles between subspaces")
-    pa.add_argument("v", help="matrix file spanning V")
-    pa.add_argument("w", help="matrix file spanning W")
-    pa.set_defaults(func=cmd_angles)
-
-    pm = sub.add_parser("metrics", parents=[common], help="subspace metrics d1, d2, dF, dsigma")
-    pm.add_argument("v")
-    pm.add_argument("w")
-    pm.set_defaults(func=cmd_metrics)
-
-    pd = sub.add_parser("derivative", parents=[common], help="right derivative of the max angle")
-    pd.add_argument("w", help="matrix file for the curve point W")
-    pd.add_argument("wdot", help="matrix file for the velocity Wdot")
-    pd.set_defaults(func=cmd_derivative)
-
-    for name, fn, help_ in (
-        ("discrete", cmd_estimate, "discrete-time angular value estimate"),
-        ("continuous", cmd_estimate, "continuous-time angular value estimate"),
-        ("autonomous", cmd_autonomous, "closed-form autonomous angular value"),
-        ("sweep", cmd_sweep, "two-frequency (kappa, rho2) parameter sweep"),
-        ("oracle", cmd_oracle, "slow reference evaluations"),
-    ):
-        sp = sub.add_parser(name, parents=[common], help=help_)
-        sp.set_defaults(func=fn)
+    for name, (func, help_, files, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for file in files:
+            sp.add_argument(file, help="matrix file")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.threads not in (None, 1):
+        if getattr(args, "threads", None) not in (None, 1):
             raise ValueError("--threads takes only 1, got %d: the sweep runs one worker" % args.threads)
         return args.func(args)
     except AngvalError as exc:

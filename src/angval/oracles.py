@@ -124,9 +124,8 @@ def birkhoff_average(system, v0, horizon, step=None):
     from scipy.linalg import expm
 
     basis = np.asarray(v0.basis if hasattr(v0, "basis") else v0, dtype=float)
-    q, r = np.linalg.qr(basis)
-    if np.linalg.matrix_rank(r) < basis.shape[1]:
-        raise RankDeficient("the starting basis is rank deficient")
+    if basis.ndim != 2:
+        raise ValueError("v0 must be a matrix whose columns span the subspace, got ndim %d" % basis.ndim)
     if isinstance(system, DiscreteSystem):
         nsteps = length = int(horizon)
         step_map = system.matrix
@@ -143,6 +142,9 @@ def birkhoff_average(system, v0, horizon, step=None):
         raise TypeError("unsupported system type %r" % (type(system).__name__,))
     if basis.shape[0] != system.dim:
         raise DimensionMismatch("v0 lies in R^%d but the system acts on R^%d" % (basis.shape[0], system.dim))
+    q, r = np.linalg.qr(basis)
+    if np.linalg.matrix_rank(r) < basis.shape[1]:
+        raise RankDeficient("the starting basis is rank deficient")
     total = 0.0
     for k in range(nsteps):
         image = step_map(k) @ q

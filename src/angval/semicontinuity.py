@@ -147,7 +147,7 @@ def _line_angle(u, v):
     return np.arctan2(np.abs(cross), np.abs(dot))
 
 
-def discrete2d_theta1(phi, rho, tag=None):
+def discrete2d_theta1(phi, rho):
     """First angular value of the sheared planar rotation u -> D T_phi D^-1 u.
 
     The per-step angle is g(x) = ang(x, D_rho T_phi D_rho^-1 x); writing
@@ -161,15 +161,13 @@ def discrete2d_theta1(phi, rho, tag=None):
         raise ValueError("phi must lie in [0, 2 pi]")
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    if tag is None:
-        tag = tag_angle(phi)
     d = np.diag([1.0, rho])
     t = rotation(phi)
 
     def f(x, _phi, _rho):
         return _line_angle(d @ x, d @ (t @ x))
 
-    val = theta_infinity(f, phi, rho, tag)
+    val = theta_infinity(f, phi, rho, tag_angle(phi))
     return min(max(val, 0.0), math.pi / 2.0)
 
 

@@ -16,6 +16,7 @@ from angval.autonomous import MAX_ORDER, MIN_RHO, T_POINTS
 from angval.cli import (
     _AUTONOMOUS_KEYS,
     _BLOCK_KEYS,
+    _COMMANDS,
     _CONTINUOUS_KINDS,
     _DISCRETE_KINDS,
     _ESTIMATE_KEYS,
@@ -29,6 +30,10 @@ from angval.cli import (
     main,
     save_matrix,
 )
+
+
+# a child process imports the package from this checkout, as the suite does
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def write_config(tmp_path, name, cfg):
@@ -106,7 +111,8 @@ def test_angles_out_files(planar, tmp_path, capsys):
     headers, rows = csv_rows(out.read_text())
     assert headers == ["j", "phi_j", "cos", "sin"] and len(rows) == 1
     meta = json.loads((tmp_path / "angles.csv.meta.json").read_text())
-    assert meta["command"] == "angles" and meta["seed"] == 0
+    # angles takes no --seed, so its meta records none
+    assert meta["command"] == "angles" and meta["degrees"] is False and "seed" not in meta
 
 
 def test_angles_dimension_mismatch_is_exit_2(tmp_path, capsys):
@@ -439,16 +445,21 @@ def test_oracle_birkhoff_rotation(tmp_path, capsys):
 
 def test_oracle_birkhoff_dimension_mismatch_names_v0(tmp_path, capsys):
     # a v0 in R^2 against a system on R^3 is bad input that names v0 and
-    # both dimensions, not a matmul error
-    cfg = write_config(
-        tmp_path,
-        "o.json",
-        {"kind": "birkhoff", "system": {"kind": "constant", "matrix": np.eye(3).tolist()}, "v0": [[1], [0]],
-         "horizon": 10},
-    )
-    assert main(["oracle", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "v0" in err and "R^2" in err and "R^3" in err and "matmul" not in err
+    # both dimensions, not a matmul error, even where v0 is also rank
+    # deficient; a v0 that is not a matrix names v0 and its ndim
+    for v0, message in (([[1], [0]], "v0 lies in R^2 but the system acts on R^3"),
+                        ([[0], [0]], "v0 lies in R^2 but the system acts on R^3"),
+                        (0, "v0 must be a matrix whose columns span the subspace, got ndim 0"),
+                        ([1, 0, 0], "v0 must be a matrix whose columns span the subspace, got ndim 1")):
+        cfg = write_config(
+            tmp_path,
+            "o.json",
+            {"kind": "birkhoff", "system": {"kind": "constant", "matrix": np.eye(3).tolist()}, "v0": v0,
+             "horizon": 10},
+        )
+        assert main(["oracle", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message and captured.out == ""
 
 
 def test_oracle_fd_derivative(tmp_path, capsys):
@@ -464,8 +475,11 @@ def test_oracle_fd_derivative(tmp_path, capsys):
 
 
 def test_missing_config_is_exit_2(capsys):
-    assert main(["discrete"]) == 2
-    assert "config" in capsys.readouterr().err
+    # argparse refuses a missing required --config before the command starts
+    with pytest.raises(SystemExit) as exc:
+        main(["discrete"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_unknown_search_key_is_exit_2(tmp_path, capsys):
@@ -536,18 +550,93 @@ def test_sweep_meta_has_no_threads_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["0", "-5", "2", "64"])
-@pytest.mark.parametrize("command", ["sweep", "angles"])
+@pytest.mark.parametrize("command", ["sweep", "angles", "discrete", "continuous", "autonomous"])
 def test_threads_other_than_one_is_exit_2(tmp_path, capsys, command, threads):
-    # --threads is a retired setting: the sweep runs one worker, and the
-    # flag is refused before any subcommand starts
-    cfg = write_config(tmp_path, "s.json", {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.7], "rho2_grid": [0.5]})
-    v = str(tmp_path / "v.csv")
-    save_matrix(v, np.eye(2, 1))
-    argv = {"sweep": ["sweep", "--config", cfg], "angles": ["angles", v, v]}[command]
-    assert main(argv + ["--threads", threads]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: --threads takes only 1, got %s: the sweep runs one worker\n" % threads
+    # --threads is a retired setting: the sweep runs one worker, and the four
+    # commands that take the flag refuse any other count before they start;
+    # angles does not take it at all
+    if command == "angles":
+        v = str(tmp_path / "v.csv")
+        save_matrix(v, np.eye(2, 1))
+        with pytest.raises(SystemExit) as exc:
+            main(["angles", v, v, "--threads", threads])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --threads %s" % threads in captured.err
+    else:
+        configs = {"sweep": _SWEEP, "discrete": _IDENTITY, "continuous": _MODEL2D,
+                   "autonomous": {"blocks": _TWO_BLOCKS, "s": 2}}
+        cfg = write_config(tmp_path, "c.json", configs[command])
+        assert main([command, "--config", cfg, "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --threads takes only 1, got %s: the sweep runs one worker\n" % threads
     assert captured.out == ""
+
+
+# the flags each command reads, and the value each parses to; every other
+# (command, flag) pair is refused
+_COMMAND_FLAGS = {
+    "angles": {"--out", "--degrees"},
+    "metrics": {"--out", "--degrees"},
+    "derivative": {"--out", "--degrees"},
+    "discrete": {"--config", "--seed", "--out", "--threads"},
+    "continuous": {"--config", "--seed", "--out", "--threads"},
+    "autonomous": {"--config", "--out", "--threads"},
+    "sweep": {"--config", "--out", "--threads"},
+    "oracle": {"--config", "--seed", "--out", "--degrees"},
+}
+_FLAG_VALUES = {"--config": ("c.json", "c.json"), "--seed": ("3", 3), "--out": ("o.csv", "o.csv"),
+                "--threads": ("1", 1), "--degrees": (None, True)}
+
+
+@pytest.mark.parametrize("flag", list(_FLAG_VALUES))
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+def test_each_command_takes_exactly_the_flags_it_reads(capsys, command, flag):
+    files = ["v.csv", "w.csv"] if "--config" not in _COMMAND_FLAGS[command] else []
+    required = ["--config", "c.json"] if files == [] and flag != "--config" else []
+    text, value = _FLAG_VALUES[flag]
+    argv = [command, *files, *required, flag, *([text] if text else [])]
+    if flag in _COMMAND_FLAGS[command]:
+        args = vars(build_parser().parse_args(argv))
+        assert args[flag[2:]] == value
+        # the namespace holds the command's files and flags, nothing else
+        assert set(args) == {"command", "func", *_COMMANDS[command][2], *(f[2:] for f in _COMMAND_FLAGS[command])}
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: %s" % flag in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["angles", "metrics", "derivative", "maxmin", "birkhoff", "fd_derivative"])
+def test_degrees_converts_each_angle_and_rate(tmp_path, capsys, command):
+    # --degrees scales exactly the angle columns (phi_j, d1) and the values
+    # of the derivative and of every oracle kind, and nothing else
+    v, w = str(tmp_path / "v.csv"), str(tmp_path / "w.csv")
+    save_matrix(v, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    save_matrix(w, np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]]))
+    oracles = {
+        "maxmin": {"kind": "maxmin", "v": v, "w": w, "samples": 100},
+        "birkhoff": {"kind": "birkhoff", "system": {"kind": "planar_rotation", "rho": 1.0, "phi": 0.3},
+                     "v0": [[1.0], [0.0]], "horizon": 50},
+        "fd_derivative": {"kind": "fd_derivative", "w": v, "wdot": w, "h": 1e-6},
+    }
+    if command in oracles:
+        argv = ["oracle", "--config", write_config(tmp_path, "o.json", oracles[command])]
+    else:
+        argv = [command, v, w]
+    # (row, column) of each angle; the "value = " line is a row of its own
+    scaled = {"angles": {(0, 1), (1, 1)}, "metrics": {(0, 1)}}.get(command, {(0, 0), (1, 0)})
+    assert main(argv) == 0
+    radians = csv_rows(capsys.readouterr().out.replace("value = ", ""))
+    assert main(argv + ["--degrees"]) == 0
+    degrees = csv_rows(capsys.readouterr().out.replace("value = ", ""))
+    assert degrees[0] == radians[0]
+    for i, row in enumerate(radians[1]):
+        for j, x in enumerate(row):
+            want = repr(float(x) * (180.0 / math.pi)) if (i, j) in scaled else x
+            assert degrees[1][i][j] == want, (i, j)
 
 
 _TWO_BLOCKS = [
@@ -653,16 +742,47 @@ def test_oracle_sizes_are_refused_before_work(tmp_path, capsys, monkeypatch, cfg
     assert message in captured.err and "value =" not in captured.out
 
 
-def test_readme_names_the_common_flags():
-    # the README sentence "Common flags on every subcommand: ..." names exactly
-    # the options that every subcommand's parser shares
+def _readme_flag_table():
+    # the README table after "Each subcommand accepts exactly the flags it
+    # reads": command -> (its flags, its .meta.json keys)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sentence = re.search(r"Common flags on every subcommand: (.*?)\.\s", readme, re.S).group(1)
+    table = readme.split("Each subcommand accepts exactly the flags it reads:", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` *\|(.*)\|(.*)\|$", table, re.M)
+    return {cmd: (re.findall(r"`(--[\w-]+)`", flags), set(re.findall(r"`(\w+)`", keys))) for cmd, flags, keys in rows}
+
+
+def test_readme_flag_table_matches_the_commands():
+    # each row names exactly the options of that command's parser, in order
     subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    shared = set.intersection(
-        *({flag for action in sp._actions for flag in action.option_strings} for sp in subcommands.choices.values())
-    )
-    assert sorted(re.findall(r"`(--[\w-]+)", sentence)) == sorted(shared - {"-h", "--help"})
+    parsed = {
+        name: [flag for action in sp._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+        for name, sp in subcommands.choices.items()
+    }
+    table = _readme_flag_table()
+    assert list(table) == list(_COMMANDS) == list(parsed)
+    assert {cmd: flags for cmd, (flags, _) in table.items()} == parsed
+    assert parsed == {cmd: list(flags) for cmd, (_, _, _, flags) in _COMMANDS.items()}
+
+
+def test_readme_lists_the_meta_keys_of_each_command(tmp_path, capsys):
+    # the .meta.json of every command, and of both autonomous forms, has
+    # exactly the keys that its README row lists, besides version, command
+    # and config
+    v, w = str(tmp_path / "v.csv"), str(tmp_path / "w.csv")
+    save_matrix(v, np.eye(2, 1))
+    save_matrix(w, np.array([[0.6], [0.8]]))
+    oracle = {"kind": "birkhoff", "system": _PLANAR["system"], "v0": [[1.0], [0.0]], "horizon": 10}
+    configs = {"discrete": [_IDENTITY], "continuous": [_MODEL2D], "sweep": [_SWEEP], "oracle": [oracle],
+               "autonomous": [{"blocks": _TWO_BLOCKS, "s": 2}, {"resonant": _RESONANT}]}
+    for command, (_, want) in _readme_flag_table().items():
+        keys = set()
+        for i, cfg in enumerate(configs.get(command, [None])):
+            out = str(tmp_path / ("%s%d.csv" % (command, i)))
+            inputs = [v, w] if cfg is None else ["--config", write_config(tmp_path, "c.json", cfg)]
+            assert main([command, *inputs, "--out", out]) == 0, command
+            keys |= set(json.loads(Path(out + ".meta.json").read_text()))
+        capsys.readouterr()
+        assert keys == want | {"version", "command", "config"}, command
 
 
 def _key_tables():
@@ -742,7 +862,7 @@ def test_four_block_autonomous_skips_scipy_stats(tmp_path):
         "print('scipy.stats loaded:', 'scipy.stats' in sys.modules)\n"
         "sys.exit(rc)\n" % path
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert "1+2+3+4," in proc.stdout
     assert proc.stdout.strip().endswith("scipy.stats loaded: False")
@@ -750,7 +870,7 @@ def test_four_block_autonomous_skips_scipy_stats(tmp_path):
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "angval.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "angval.cli", "--version"], capture_output=True, text=True, env=SRC_ENV
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("angval ")

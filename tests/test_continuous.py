@@ -436,3 +436,14 @@ def test_estimator_is_deterministic():
     r2 = estimate_angular_value_ct(sys, 1, "sup-limsup", 30.0, 0.01, cfg)
     assert r1.value == r2.value
     assert np.array_equal(r1.best_basis, r2.best_basis)
+
+
+def test_tail_falls_back_to_the_last_sample_time():
+    # no sample time reaches horizon * TAIL_FRACTION = 50, so the tail window
+    # is the last sample alone: the best candidate's average at t = 2
+    sys = ContinuousSystem.model2d(0.5, 1.0)
+    cfg = SubspaceSearchConfig(seed=0, candidates=4, refine_rounds=2, sample_times=[1.0, 2.0])
+    rep = estimate_angular_value_ct(sys, 1, "sup-limsup", 100.0, 0.01, cfg)
+    want = angular_integral(sys, subspace_from_spanning(rep.best_basis), 0.0, 2.0, 0.01) / 2.0
+    assert rep.tail_sup == rep.tail_inf == rep.value
+    assert rep.tail_sup == pytest.approx(want, rel=1e-12)

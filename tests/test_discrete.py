@@ -357,3 +357,14 @@ def test_memory_is_bounded_by_the_block_not_the_horizon():
     assert total == pytest.approx(0.3 * n, rel=1e-10)
     assert rep.evaluations == 1 and rep.value == pytest.approx(0.3, rel=1e-10)
     assert peak < 10**6, "peak %d bytes" % peak
+
+
+def test_tail_falls_back_to_the_last_sample_time():
+    # no sample time reaches horizon * TAIL_FRACTION = 500, so the tail
+    # window is the last sample alone: the best candidate's average at n = 2
+    sys = DiscreteSystem.planar_rotation(0.6, 0.7)
+    cfg = SubspaceSearchConfig(seed=0, sample_times=[1, 2])
+    rep = estimate_angular_value(sys, 1, "sup-limsup", 1000, cfg)
+    want = angle_sum(sys, subspace_from_spanning(rep.best_basis), 1, 2) / 2
+    assert rep.tail_sup == rep.tail_inf == rep.value
+    assert rep.tail_sup == pytest.approx(want, rel=1e-12)

@@ -169,7 +169,7 @@ def test_theta1_matches_estimator_on_grid():
     for p, q in fractions:
         phi = TWO_PI * p / q
         for rho in rhos:
-            want = discrete2d_theta1(phi, rho, tag=RationalTag("rational", p / q, p, q))
+            want = discrete2d_theta1(phi, rho)
             sys = DiscreteSystem.planar_rotation(rho, phi)
             cfg = SubspaceSearchConfig(
                 seed=17, candidates=16, refine_rounds=20, sample_times=[840]
@@ -177,6 +177,20 @@ def test_theta1_matches_estimator_on_grid():
             rep = estimate_angular_value(sys, 1, "sup-limsup", 840, cfg)
             worst = max(worst, abs(rep.value - want))
     assert worst < 2e-3, "worst deviation %.3e" % worst
+
+
+def circle_average_theta1(phi, rho):
+    # the value irrational neighbours of phi converge to: theta1's per-step
+    # angle averaged over the circle, whatever the arithmetic type of phi
+    d = np.diag([1.0, rho])
+    t = rotation(phi)
+
+    def f(x, _phi, _rho):
+        u, v = d @ x, d @ (t @ x)
+        return np.arctan2(np.abs(u[0] * v[1] - u[1] * v[0]), np.abs(u[0] * v[0] + u[1] * v[1]))
+
+    val = theta_infinity(f, phi, rho, RationalTag("irrational", phi / TWO_PI))
+    return min(max(val, 0.0), math.pi / 2.0)
 
 
 def test_theta1_is_upper_semicontinuous_at_rationals():
@@ -190,8 +204,10 @@ def test_theta1_is_upper_semicontinuous_at_rationals():
                 continue
             for rho in (0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0):
                 phi = TWO_PI * p / q
-                rational = discrete2d_theta1(phi, rho, tag=RationalTag("rational", p / q, p, q))
-                irrational = discrete2d_theta1(phi, rho, tag=RationalTag("irrational", p / q))
+                tag = tag_angle(phi)
+                assert (tag.kind, tag.p, tag.q) == ("rational", p, q)
+                rational = discrete2d_theta1(phi, rho)
+                irrational = circle_average_theta1(phi, rho)
                 worst = min(worst, rational - irrational)
                 cells += 1
     assert cells == 774
