@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .autonomous import T_POINTS, SchurSpec, angular_value_irrational, angular_value_resonant_4d, resonant_line
+from .autonomous import SchurSpec, angular_value_irrational
 from .continuous import ContinuousSystem, estimate_angular_value_ct
 from .discrete import DiscreteSystem, estimate_angular_value
 from .errors import AngvalError, BudgetExceeded, DimensionMismatch, SingularMatrix
@@ -36,6 +36,7 @@ from .grassmann import (
 )
 from .linalg import ComplexBlock, RealBlock, as_matrix
 from .oracles import birkhoff_average, fd_angle_derivative, maxmin_angle
+from .resonant import T_POINTS, angular_value_resonant_4d, resonant_line
 from .search import SubspaceSearchConfig
 from .semicontinuity import hairy_sweep
 from .smoothness import CurvePoint, angle_derivative_right
@@ -97,8 +98,7 @@ def _emit(args, headers, rows, meta):
         with open(args.out, "w") as fh:
             fh.write(text)
         with open(args.out + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         print("wrote %s (%d rows)" % (args.out, len(rows)))
     else:
         sys.stdout.write(text)
@@ -377,7 +377,8 @@ def cmd_sweep(args):
             )
         )
     headers = ("kappa", "rho2", "tag", "p", "q", "value", "t_argmax", "err_estimate")
-    # per-cell seconds summed by kind; with one worker their total stays below the wall time
+    # per-cell seconds summed by kind, each a batched cell's share of its pass plus its own
+    # search for the sup; their total stays below the wall time of the sweep
     kinds = {kind: {"cells": 0, "seconds": 0.0} for kind in ("rational", "irrational")}
     for c in cells:
         kinds[c.tag.kind]["cells"] += 1

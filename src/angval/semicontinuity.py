@@ -7,7 +7,8 @@ exact q-term orbit average.  Taking the sup over starting points yields a
 function that is upper semicontinuous in the rotation angle.  On top of
 that this module evaluates the first angular value of the sheared planar
 rotation in closed form and drives the two-frequency parameter sweep whose
-rational spikes make the "hairy" dataset.
+rational spikes make the "hairy" dataset; the rational cells that share
+max(p, q) are evaluated in one pass of the resonant line.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .autonomous import GATE_QMAX, GATE_TOL
-from .autonomous import SchurSpec, angular_value_irrational, angular_value_resonant_4d, rational_approximation
+from .autonomous import SchurSpec, angular_value_irrational, rational_approximation
 from .linalg import ComplexBlock, rotation
+from .resonant import resonant_values
 
 TWO_PI = 2.0 * math.pi
 # uniform circle grid: the irrational orbit average, and the starting points
@@ -178,7 +180,9 @@ class SweepCell:
     Rational cells take their value as the sup of the vertical line L(t),
     attained at t_argmax; irrational cells hold the torus mean.
     err_estimate bounds the error of the value (of L at t_argmax for
-    rational cells) and seconds is the wall time the cell took.
+    rational cells) and seconds is the wall time the cell took: for a
+    rational cell, its share of its group's pass of the line (in proportion
+    to its rows of t) plus its own search for the sup.
     """
 
     kappa: float
@@ -209,27 +213,14 @@ def build_rho2_grid():
     return sorted([k / 10.0 for k in range(1, 11)] + [0.25])
 
 
-def _sweep_cell(omega1, rho1, kappa, rho2, tag):
+def _irrational_cell(omega1, rho1, kappa, rho2, tag):
     t0 = time.perf_counter()
-    if tag.rational:
-        res = angular_value_resonant_4d(omega1, tag.p, tag.q, rho1, rho2)
-        t_argmax = res.t_argmax
-    else:
-        spec = SchurSpec((ComplexBlock(0.0, omega1, rho1), ComplexBlock(-1.0, kappa * omega1, rho2)))
-        # rationality was already judged at the sweep's q <= Qmax resolution,
-        # so the strict per-call gate (which would reject any float grid
-        # point with a small decimal denominator) is bypassed
-        res = angular_value_irrational(2, spec, override_gate=True)
-        t_argmax = None
-    return SweepCell(
-        kappa=kappa,
-        rho2=rho2,
-        tag=tag,
-        value=res.value,
-        err_estimate=res.error,
-        t_argmax=t_argmax,
-        seconds=time.perf_counter() - t0,
-    )
+    spec = SchurSpec((ComplexBlock(0.0, omega1, rho1), ComplexBlock(-1.0, kappa * omega1, rho2)))
+    # rationality was already judged at the sweep's q <= Qmax resolution,
+    # so the strict per-call gate (which would reject any float grid
+    # point with a small decimal denominator) is bypassed
+    res = angular_value_irrational(2, spec, override_gate=True)
+    return SweepCell(kappa, rho2, tag, res.value, res.error, seconds=time.perf_counter() - t0)
 
 
 def hairy_sweep(
@@ -245,8 +236,10 @@ def hairy_sweep(
     kappa = omega2/omega1 is tagged rational when a fraction p/q with
     q <= qmax matches it to grid precision; those cells evaluate the
     resonant sup-of-line formula, all others the independent-frequency
-    torus mean.  The cells run one after another in (kappa, rho2)
-    lexicographic order, which is the order of the result.  threads is a
+    torus mean.  The irrational cells run one after another.  The rational
+    cells are grouped by max(p, q): the domain grids of a group go through
+    one pass of the resonant line, and each cell's sup is then found on its
+    own.  The result is in (kappa, rho2) lexicographic order.  threads is a
     retired setting: None and 1 are accepted, any other value is refused.
     """
     if threads not in (None, 1):
@@ -268,4 +261,13 @@ def hairy_sweep(
         tag = classify_ratio(kappa, qmax=qmax)
         for rho2 in sorted(float(r) for r in rho2_grid):
             jobs.append((kappa, rho2, tag))
-    return [_sweep_cell(omega1, rho1, kappa, rho2, tag) for kappa, rho2, tag in jobs]
+    cells, groups = [], {}
+    for i, (kappa, rho2, tag) in enumerate(jobs):
+        if tag.rational:
+            groups.setdefault(max(tag.p, tag.q), []).append(i)
+        cells.append(None if tag.rational else _irrational_cell(omega1, rho1, kappa, rho2, tag))
+    for group in groups.values():
+        batch = [(jobs[i][2].p, jobs[i][2].q, jobs[i][1]) for i in group]
+        for i, (res, seconds) in zip(group, resonant_values(omega1, rho1, batch)):
+            cells[i] = SweepCell(*jobs[i], res.value, res.error, res.t_argmax, seconds)
+    return cells

@@ -375,6 +375,32 @@ def test_autonomous_resonant_emits_line(tmp_path, capsys):
     assert headers == ["t", "L"] and len(rows) == 720
 
 
+@pytest.mark.parametrize("extra", [[], [{"beta": -1.0}]])
+def test_autonomous_refuses_blocks_that_share_a_real_part(tmp_path, capsys, extra):
+    # the closed form assumes isolated real parts: here it printed
+    # 1+2,1.8384920319921991,3.73e-14 at exit 0, while a subspace search
+    # found values of 1.95-1.97
+    blocks = [{"beta": 0.0, "omega": 1.0, "rho": 0.4}, {"beta": 0.0, "omega": math.sqrt(3.0), "rho": 0.7}]
+    cfg = write_config(tmp_path, "shared.json", {"blocks": blocks + extra, "s": 2})
+    assert main(["autonomous", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: complex block real parts must be isolated: blocks 1 and 2 share the real part 0.0\n"
+
+
+def test_meta_file_is_one_json_document(tmp_path, capsys):
+    # .meta.json holds exactly json.dumps(meta, indent=2, sort_keys=True) and a newline
+    configs = [("sweep", {"omega1": 1.0, "rho1": 0.5, "kappa_grid": [0.5, 0.7071], "rho2_grid": [0.4]}),
+               ("autonomous", {"resonant": _RESONANT}), ("autonomous", {"blocks": _TWO_BLOCKS, "s": 2})]
+    for k, (command, cfg) in enumerate(configs):
+        out = tmp_path / ("out%d.csv" % k)
+        assert main([command, "--config", write_config(tmp_path, "c%d.json" % k, cfg), "--out", str(out)]) == 0
+        text = (tmp_path / ("out%d.csv.meta.json" % k)).read_text()
+        meta = json.loads(text)
+        assert meta["command"] == command and meta["config"] == cfg
+        assert text == json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+
 def test_autonomous_rational_gate_is_exit_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

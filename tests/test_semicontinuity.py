@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from angval.autonomous import SchurSpec, angular_value_irrational, resonant_line
+from angval.autonomous import SchurSpec, angular_value_irrational, angular_value_resonant_4d, resonant_line
 from angval.discrete import DiscreteSystem, estimate_angular_value
 from angval.linalg import ComplexBlock, rotation
 from angval.search import SubspaceSearchConfig
@@ -339,8 +340,26 @@ def test_sweep_rejects_qmax_out_of_range(qmax):
 
 
 def test_sweep_cells_record_their_time():
-    cells = hairy_sweep(1.0, 0.5, kappa_grid=[0.5, 0.505], rho2_grid=[0.4])
+    # rational cells of one max(p, q) share a pass, and each takes its share
+    # of it plus its own search, so the cells' seconds add up to at most the
+    # sweep's wall time
+    t0 = time.perf_counter()
+    cells = hairy_sweep(1.0, 0.5, kappa_grid=[1 / 7, 2 / 7, 3 / 7, 0.5, 0.505], rho2_grid=[0.4, 0.8])
+    wall = time.perf_counter() - t0
     assert all(c.seconds > 0.0 for c in cells)
+    assert sum(c.seconds for c in cells) <= wall
     # timing is not part of a cell's value
     assert cells[0] == dataclasses.replace(cells[0], seconds=0.0)
+
+
+def test_sweep_rational_cells_are_the_single_cell_values():
+    # several ratios of one q share a pass with each other and across rows
+    grid = [1 / 7, 2 / 7, 3 / 7, 5 / 7, 1 / 3, 0.5, 0.31]
+    cells = hairy_sweep(1.0, 1.0 / 3.0, kappa_grid=grid, rho2_grid=[0.1, 0.25, 1.0])
+    assert [(c.kappa, c.rho2) for c in cells] == [(k, r) for k in sorted(grid) for r in (0.1, 0.25, 1.0)]
+    rational = [c for c in cells if c.tag.rational]
+    assert len(rational) == 18
+    for c in rational:
+        res = angular_value_resonant_4d(1.0, c.tag.p, c.tag.q, 1.0 / 3.0, c.rho2)
+        assert (c.value, c.err_estimate, c.t_argmax) == (res.value, res.error, res.t_argmax)
 
