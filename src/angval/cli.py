@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .autonomous import SchurSpec, angular_value_irrational
+from .autonomous import T_POINTS, SchurSpec, angular_value_irrational, angular_value_resonant_4d, resonant_line
 from .continuous import ContinuousSystem, estimate_angular_value_ct
 from .discrete import DiscreteSystem, estimate_angular_value
 from .errors import AngvalError, BudgetExceeded, DimensionMismatch, SingularMatrix
@@ -36,7 +36,6 @@ from .grassmann import (
 )
 from .linalg import ComplexBlock, RealBlock, as_matrix
 from .oracles import birkhoff_average, fd_angle_derivative, maxmin_angle
-from .resonant import T_POINTS, angular_value_resonant_4d, resonant_line
 from .search import SubspaceSearchConfig
 from .semicontinuity import hairy_sweep
 from .smoothness import CurvePoint, angle_derivative_right

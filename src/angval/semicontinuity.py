@@ -21,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .autonomous import GATE_QMAX, GATE_TOL
-from .autonomous import SchurSpec, angular_value_irrational, rational_approximation
+from .autonomous import SchurSpec, angular_value_irrational, rational_approximation, resonant_values
 from .linalg import ComplexBlock, rotation
-from .resonant import resonant_values
 
 TWO_PI = 2.0 * math.pi
 # uniform circle grid: the irrational orbit average, and the starting points

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from angval import oracles, resonant
+from angval import autonomous, oracles
 from angval.autonomous import (
     MAX_ORDER,
     MAX_SPEED,
@@ -574,23 +574,41 @@ def test_batched_line_is_each_cell_alone(batch):
     # the rows of a pass share only the crossing grid: each row of a cell, in
     # any order among other cells' rows, is its line evaluated alone
     rho1, cells, which, t = batch
-    out = resonant._ResonantLine(1.0, rho1, cells)(t, which)
+    out = autonomous._ResonantLine(1.0, rho1, cells)(t, which)
     for k, cell in enumerate(cells):
         rows = which == k
-        alone = resonant._ResonantLine(1.0, rho1, [cell])(t[rows], np.zeros(np.count_nonzero(rows), int))
+        alone = autonomous._ResonantLine(1.0, rho1, [cell])(t[rows], np.zeros(np.count_nonzero(rows), int))
         assert np.array_equal(out[:, rows], alone)
 
 
 def test_resonant_line_refuses_cells_of_other_orders():
     with pytest.raises(ValueError, match="share max"):
-        resonant._ResonantLine(1.0, 0.5, [(1, 2, 0.5), (1, 3, 0.5)])
+        autonomous._ResonantLine(1.0, 0.5, [(1, 2, 0.5), (1, 3, 0.5)])
+
+
+def test_batched_line_is_each_cell_alone_when_the_split_cap_fires(monkeypatch):
+    # a full pass caps the cells split at once at 2 max(p, q) per row of t;
+    # at 8 children per split no cell was seen to need more.  At 64 the cap
+    # fires in the pass of these four domain grids and on the first cell
+    # alone, but not on the other three alone: they keep their own values
+    monkeypatch.setattr(autonomous, "_SPLIT", 64)
+    cells = [(1, 3, 1.0), (2, 3, 0.25), (3, 1, 0.5), (1, 3, 0.7)]
+    ts = [np.linspace(0.0, 0.5 * math.pi / p, -(-T_POINTS // (4 * p)) + 1) for p, _, _ in cells]
+    which = np.repeat(np.arange(len(cells)), [len(t) for t in ts])
+    line = autonomous._ResonantLine(1.0, 1 / 3, cells)
+    with pytest.raises(autonomous._Crowded):
+        line._pass(np.concatenate(ts), which, True)
+    out = line(np.concatenate(ts), which)
+    for k, (cell, t) in enumerate(zip(cells, ts)):
+        alone = autonomous._ResonantLine(1.0, 1 / 3, [cell])(t, np.zeros(len(t), int))
+        assert np.array_equal(out[:, which == k], alone)
 
 
 def test_resonant_line_is_the_same_in_small_chunks(monkeypatch):
     # one t at a time instead of 102, and at most 32 cells split at once
     ts = np.linspace(0.0, 2 * math.pi, 7)
     want = resonant_line(1.0, 13, 20, 1 / 3, 0.25, ts)
-    monkeypatch.setattr(resonant, "_CHUNK", 256)
+    monkeypatch.setattr(autonomous, "_CHUNK", 256)
     assert np.max(np.abs(resonant_line(1.0, 13, 20, 1 / 3, 0.25, ts) - want)) <= 1e-14
 
 
