@@ -486,10 +486,6 @@ def _cell_params(omega1, rho1, p, q, rho2):
     ]
 
 
-class _Crowded(Exception):
-    """The split cap would fire in a pass that holds several cells."""
-
-
 class _ResonantLine:
     """The exact resonant lines L(t) of a batch of cells (p, q, rho2) that
     share omega1, rho1 and max(p, q), their slopes L'(t) and error bounds,
@@ -506,10 +502,8 @@ class _ResonantLine:
 
     The cells share the crossing grid of n0 = 8 max(p, q) base cells, so one
     pass evaluates rows of t from several of them, each row reading its
-    cell's column of the parameter table.  Every value is the one the cell's
-    rows give alone: those rows go through passes of the size they would
-    alone, and a pass of several cells in which the split cap would fire is
-    run again cell by cell.
+    cell's column of the parameter table.  No row's values depend on the
+    other rows of its pass, so each is what its cell gives alone.
     """
 
     def __init__(self, omega1, rho1, cells):
@@ -536,41 +530,14 @@ class _ResonantLine:
         """(L, L', error) at each t of the cells `which` (one index per t),
         as a (3, len(ts)) array."""
         ts, which = np.asarray(ts, dtype=float), np.asarray(which)
-        # each cell's rows, in their order, as one run
-        order = np.argsort(which, kind="stable")
-        ts, which = ts[order], which[order]
-        bounds = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), len(ts)]
         out = np.empty((3, len(ts)))
-        for runs in self._passes(bounds, max(1, _CHUNK // (2 * self.n0))):  # n0 <= _CHUNK / 2 by MAX_ORDER
-            a, b = runs[0][0], runs[-1][1]
-            try:
-                out[:, a:b] = self._pass(ts[a:b], which[a:b], len(runs) > 1)
-            except _Crowded:
-                for x, y in runs:
-                    out[:, x:y] = self._pass(ts[x:y], which[x:y], False)
-        out[:, order] = out.copy()
+        rows = max(1, _CHUNK // (2 * self.n0))  # n0 <= _CHUNK / 2 by MAX_ORDER
+        for r0 in range(0, len(ts), rows):
+            out[:, r0 : r0 + rows] = self._pass(ts[r0 : r0 + rows], which[r0 : r0 + rows], rows)
         return out
 
-    @staticmethod
-    def _passes(bounds, rows):
-        # the runs of rows [a, b) of each pass: whole runs of at most `rows`
-        # rows in all, or `rows` rows of a longer run, cut from its start as
-        # it would be alone
-        runs = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if runs and b - runs[0][0] > rows:
-                yield runs
-                runs = []
-            if b - a > rows:
-                yield from ([(x, min(x + rows, b))] for x in range(a, b, rows))
-            else:
-                runs.append((a, b))
-        if runs:
-            yield runs
-
-    def _pass(self, t, cell, several):
-        # (L, L', error) at the rows t of the cells `cell`, one pass;
-        # `several` if they are rows of more than one cell
+    def _pass(self, t, cell, rows):
+        # (L, L', error) at the rows t of the cells `cell`, one pass of at most `rows` rows
         c = self.table.take(cell, axis=1)  # one column of parameters per row
         acc = np.zeros((4, len(t)))  # sums of +-H and +-E1, error bounds, crossings
         t2 = 2.0 * t
@@ -578,7 +545,7 @@ class _ResonantLine:
         # one stage after another, so that each one's arrays are gone before the next
         sups = self._sups(c, c2, s2)
         cells = self._block(c2, s2, c, cell, sups)
-        crossings = self._isolate(t2, c, sups, cells, math.pi / self.n0, acc, several)
+        crossings = self._isolate(t2, c, sups, cells, math.pi / self.n0, acc, rows)
         if crossings:
             # the root steps divide by P', which may be 0, and by 0 at an exact root
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -630,15 +597,15 @@ class _ResonantLine:
         return (rows, k * h, nodes.take(left), nodes.take(left + 1), mcos.take(mp), msin.take(mp),
                 c2[rows] * cq - s2[rows] * sq, s2[rows] * cq + c2[rows] * sq)
 
-    def _isolate(self, t2, c, sups, cells, h, acc, several):
+    def _isolate(self, t2, c, sups, cells, h, acc, per_pass):
         # A cell has no root if |P(mid)| exceeds the Taylor bound of
         # |P - P(mid)| on it, and at most one if |P'(mid)| exceeds that of
         # |P' - P'(mid)| (third order, plus the rounding bounds).  Other cells
         # split by _SPLIT, unless P is within rounding of 0 on them, or at the
         # depth or size limit: those become leaves whose share of L counts in
         # the error.  Every leaf whose end signs differ holds one crossing, so
-        # crossings alternate in sign.  The size limit is left to each cell
-        # alone when the pass holds several.
+        # crossings alternate in sign.  The size limit is per row of t: its
+        # share of the cells that a pass of `per_pass` rows may split at once.
         m3, m4 = sups[2], sups[3]
         found = []
         for depth in range(_MAX_DEPTH + 1):
@@ -654,10 +621,7 @@ class _ResonantLine:
             split = ~certified & (bound > 5.0 * cr[_EPS_P])
             if depth == _MAX_DEPTH:
                 split[:] = False
-            elif np.count_nonzero(split) * _SPLIT > _CHUNK:
-                if several:
-                    raise _Crowded
-                split[:] = False
+            split &= np.bincount(rows[split], None, len(t2))[rows] * (_SPLIT * per_pass) <= _CHUNK
             unsure = ~certified & ~split
             if unsure.any():
                 acc[2] += np.bincount(rows[unsure], h * bound[unsure], len(t2)) * c[_ERR_SCALE]
@@ -780,8 +744,7 @@ def _maximize(line, which, ts, ls, slopes, errs, k0):
         x = b - fb * (b - a) / (fb - fa)
         if not a < x < b:
             x = 0.5 * (a + b)
-        # one row is a pass of its own
-        lx, fx, ex = (v[0] for v in line._pass(np.array([x]), np.array([which]), False))
+        lx, fx, ex = line([x], [which])[:, 0]
         if lx > best[0]:
             best = (lx, x, ex)
         if small(fx):

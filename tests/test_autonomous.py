@@ -587,18 +587,15 @@ def test_resonant_line_refuses_cells_of_other_orders():
 
 
 def test_batched_line_is_each_cell_alone_when_the_split_cap_fires(monkeypatch):
-    # a full pass caps the cells split at once at 2 max(p, q) per row of t;
-    # at 8 children per split no cell was seen to need more.  At 64 the cap
-    # fires in the pass of these four domain grids and on the first cell
-    # alone, but not on the other three alone: they keep their own values
+    # the split cap is counted per row of t.  A full pass holds 2 max(p, q)
+    # split cells per row; at 8 children per split no row was seen to need
+    # more, at 64 the share is max(p, q) / 4 and rows of all four cells reach
+    # it.  A cap counted over the pass would tie each cell to the others
     monkeypatch.setattr(autonomous, "_SPLIT", 64)
     cells = [(1, 3, 1.0), (2, 3, 0.25), (3, 1, 0.5), (1, 3, 0.7)]
     ts = [np.linspace(0.0, 0.5 * math.pi / p, -(-T_POINTS // (4 * p)) + 1) for p, _, _ in cells]
     which = np.repeat(np.arange(len(cells)), [len(t) for t in ts])
-    line = autonomous._ResonantLine(1.0, 1 / 3, cells)
-    with pytest.raises(autonomous._Crowded):
-        line._pass(np.concatenate(ts), which, True)
-    out = line(np.concatenate(ts), which)
+    out = autonomous._ResonantLine(1.0, 1 / 3, cells)(np.concatenate(ts), which)
     for k, (cell, t) in enumerate(zip(cells, ts)):
         alone = autonomous._ResonantLine(1.0, 1 / 3, [cell])(t, np.zeros(len(t), int))
         assert np.array_equal(out[:, which == k], alone)
