@@ -503,7 +503,8 @@ class _ResonantLine:
     The cells share the crossing grid of n0 = 8 max(p, q) base cells, so one
     pass evaluates rows of t from several of them, each row reading its
     cell's column of the parameter table.  No row's values depend on the
-    other rows of its pass, so each is what its cell gives alone.
+    other rows of its pass (the cap on cells split at once is counted per
+    row too), so each is what its cell gives alone.
     """
 
     def __init__(self, omega1, rho1, cells):
