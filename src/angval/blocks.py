@@ -10,6 +10,10 @@ _SEGMENT maps, formed for a whole chunk of maps at once and halved where
 they fail the test, so the cost of a step does not depend on where the
 condition numbers would cut a longer block.  _carry turns either stream of
 blocks into orthonormal nodes.
+
+_running_sums, the one reader of both classes' per-node increments, sums
+them at sample nodes in memory bounded by the block, _HELD and the samples;
+only continuous.propagate_subspace stores per-node values.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .linalg import qr, singular_values
 _MAX_BLOCK = 256
 _SEGMENT = 16
 _BLOCK_COND = 1e4
+_HELD = 1 << 14  # nodes per cumsum of _running_sums
 
 # overflow/invalid during a blown-up step is reported via StepUnstable, not
 # as a numpy warning
@@ -97,11 +102,11 @@ def _segment_blocks(chunks, size=_SEGMENT):
 
 
 def _carry(b0, blocks):
-    """Yield (nodes, ends) for a stream of blocks (products, ends): the
-    orthonormal bases the products reach from b0, padding dropped.  Each of
-    the K segments of a block starts from the end node of the one before.
-    A non-finite or rank-deficient basis raises StepUnstable."""
-    q = b0
+    """Yield (nodes, ends, node indices) for a stream of blocks (products,
+    ends): the orthonormal bases the products reach from b0, node 0, padding
+    dropped.  Each of the K segments of a block starts from the end node of
+    the one before.  A non-finite or rank-deficient basis raises StepUnstable."""
+    q, k = b0, 1
     try:
         for prods, ends in blocks:
             starts = [q]
@@ -110,7 +115,43 @@ def _carry(b0, blocks):
             # a lone segment needs no stack of starts
             w = prods[0] @ q if len(prods) == 1 else (prods @ np.stack(starts)[:, None]).reshape(-1, *q.shape)
             nodes = qr(w)[0][: len(ends)]
-            yield nodes, ends
-            q = nodes[-1]
+            yield nodes, ends, range(k, k + len(nodes))
+            q, k = nodes[-1], k + len(nodes)
     except (RankDeficient, FloatingPointError) as exc:
         raise StepUnstable("propagated basis: %s" % exc) from exc
+
+
+def _held(blocks):
+    """Runs (first node, increments) of a stream of blocks (increments, node
+    indices, bases), joined until they span _HELD nodes."""
+    held = []
+    for inc, nodes, _ in blocks:
+        if not held:
+            lo = nodes[0]
+        held.append(inc)
+        if nodes[-1] - lo >= _HELD:
+            yield lo, np.concatenate(held)
+            held = []
+    if held:
+        yield lo, np.concatenate(held)
+
+
+@_quiet
+def _running_sums(blocks, samples, start=0):
+    """(sums, increments) at the sorted sample nodes of a stream of blocks
+    (increments, node indices, bases), which runs under _quiet here.  The
+    sum at node j adds the increments of nodes start..j one at a time in
+    node order, as np.cumsum does, by one cumsum per run of _held."""
+    sums, values = np.empty(len(samples)), np.empty(len(samples))
+    total, ptr = 0.0, 0
+    for lo, run in _held(blocks):
+        if start > lo:
+            run[: start - lo] = 0.0  # nodes before start add nothing
+        end = samples.searchsorted(lo + len(run))
+        at = samples[ptr:end] - lo
+        values[ptr:end] = run[at]
+        run[0] += total
+        total = np.cumsum(run, out=run)[-1]
+        sums[ptr:end] = run[at]
+        ptr = end
+    return sums, values

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
+from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _running_sums, _segment_blocks, _unit_powers
 from .errors import BudgetExceeded, DimensionMismatch, StepUnstable
 from .linalg import solve_right, spectral_norms, square_matrix
 from .search import check_budget, default_sample_times, run_search
@@ -101,25 +101,23 @@ def _speeds(q, aq):
 
 
 def _propagator(sys, h, nsteps):
-    """propagate(b0, store_bases) -> (bases or None, integrand) over nsteps
-    fixed RK4 steps, in blocks of step powers formed here for a constant
-    generator, of step-map products formed per propagation otherwise."""
+    """propagate(b0) -> the stream of blocks (angular speeds, node indices,
+    bases) of nsteps fixed RK4 steps, node 0 first: step powers formed here
+    for a constant generator, step-map products per propagation otherwise."""
     a = sys.constant
     powers = None if a is None else _step_powers(a, h, nsteps)
 
-    @_quiet
-    def propagate(b0, store_bases):
+    def propagate(b0):
+        if len(b0) != sys.dim:
+            raise DimensionMismatch("v0 lies in R^%d but the system acts on R^%d" % (len(b0), sys.dim))
         if a is None:
             a0 = sys.matrix(0.0)
             blocks, a_at = _varying_blocks(sys, h, nsteps, a0), lambda ends: ends
         else:
             a0, blocks, a_at = a, _power_blocks(powers, nsteps), lambda ends: a
-        speeds, bases = [np.atleast_1d(_speeds(b0, a0 @ b0))], [b0[None]]
-        for q, ends in _carry(b0, blocks):
-            speeds.append(_speeds(q, a_at(ends) @ q))
-            if store_bases:
-                bases.append(q)
-        return (np.concatenate(bases) if store_bases else None), np.concatenate(speeds)
+        yield np.atleast_1d(_speeds(b0, a0 @ b0)), range(1), b0[None]
+        for q, ends, indices in _carry(b0, blocks):
+            yield _speeds(q, a_at(ends) @ q), indices, q
 
     return propagate
 
@@ -133,41 +131,30 @@ def _resolve_steps(t_end, h):
     return nsteps, t_end / nsteps
 
 
-def _trajectory(sys, v0, t_end, h, store_bases):
-    if v0.d != sys.dim:
-        raise DimensionMismatch("v0 lies in R^%d but the system acts on R^%d" % (v0.d, sys.dim))
-    nsteps, h_eff = _resolve_steps(t_end, h)
-    bases, integrand = _propagator(sys, h_eff, nsteps)(v0.basis, store_bases)
-    times = np.arange(nsteps + 1) * h_eff
-    return SubspaceTrajectory(times=times, bases=bases, integrand=integrand)
-
-
+@_quiet
 def propagate_subspace(sys, v0, t_end, h):
     """Carry span(v0) along the flow on [0, t_end] with fixed-step RK4.
 
     The basis is re-orthonormalized at every node and the angular speed
     ||(I - P) A(t) P|| is recorded there.  The step is adjusted to the
-    nearest exact divisor of t_end.
+    nearest exact divisor of t_end.  The only call that stores every node.
     """
-    return _trajectory(sys, v0, t_end, h, store_bases=True)
-
-
-def integral_from_trajectory(traj, t_start=0.0):
-    """Trapezoid rule over the stored integrand from t_start to the end."""
-    h = traj.times[1] - traj.times[0]
-    i0 = int(round(t_start / h))
-    if not (0 <= i0 < len(traj.times)):
-        raise ValueError("t_start outside the trajectory")
-    f = traj.integrand[i0:]
-    return float(h * (f.sum() - 0.5 * (f[0] + f[-1])))
+    nsteps, h = _resolve_steps(t_end, h)
+    speeds, _, bases = zip(*_propagator(sys, h, nsteps)(v0.basis))
+    return SubspaceTrajectory(np.arange(nsteps + 1) * h, np.concatenate(bases), np.concatenate(speeds))
 
 
 def angular_integral(sys, v0, t_start, t_end, h):
     """Accumulated angle a_{t_start, t_end}(V): integral of the angular speed
-    along the flow started at time 0 from span(v0)."""
+    along the flow started at time 0 from span(v0), by the trapezoid rule on
+    the RK4 nodes.  t_start is rounded to the nearest node; the speeds are
+    added in node order."""
     if not (0.0 <= t_start <= t_end):
         raise ValueError("need 0 <= t_start <= t_end")
-    return integral_from_trajectory(_trajectory(sys, v0, t_end, h, store_bases=False), t_start)
+    nsteps, h = _resolve_steps(t_end, h)
+    i0 = int(round(t_start / h))
+    sums, f = _running_sums(_propagator(sys, h, nsteps)(v0.basis), np.array([i0, nsteps]), start=i0)
+    return float(h * (sums[1] - 0.5 * (f[0] + f[1])))
 
 
 def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
@@ -190,13 +177,13 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     idx = np.unique(np.clip(np.round(raw / h).astype(int), 1, nsteps))
     times = idx * h
 
+    samples = np.concatenate([[0], idx])
     propagate = _propagator(sys, h, nsteps)
 
     def evaluate(basis):
-        _, integrand = propagate(basis, store_bases=False)
-        csum = np.cumsum(integrand)
-        # trapezoid cumulative: h * (csum[i] - (f0 + f_i) / 2)
-        cum = h * (csum[idx] - 0.5 * (integrand[0] + integrand[idx]))
+        csum, f = _running_sums(propagate(basis), samples)
+        # trapezoid cumulative: h * (csum_i - (f_0 + f_i) / 2)
+        cum = h * (csum[1:] - 0.5 * (f[0] + f[1:]))
         return cum / times
 
     return run_search(

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import grassmann
-from .blocks import _MAX_BLOCK, _carry, _power_blocks, _quiet, _segment_blocks, _unit_powers
+from .blocks import _MAX_BLOCK, _carry, _power_blocks, _running_sums, _segment_blocks, _unit_powers
 from .errors import DimensionMismatch, SingularMatrix, StepUnstable
 from .linalg import rotation, solve_right, square_matrix
 from .search import check_budget, default_sample_times, run_search
@@ -87,36 +87,28 @@ def solution_operator(sys, n, m):
 
 def _propagator(sys, n):
     """sums(b0, times, m=1) -> the angle sums a_{m,j}(span b0) at each j of
-    the sorted times in [1, n], over n steps on the shared block path (the
-    powers of a constant map are formed here, once).  Memory is bounded by
-    the block size and the number of times, not by n."""
+    the sorted times in [1, n]: the running-sum reader of blocks.py on the
+    angles between the nodes of n steps on the shared block path (the powers
+    of a constant map are formed here, once)."""
     a = sys.constant_matrix
     powers = None if a is None else _unit_powers(a, n)
 
-    def blocks():
-        if powers is not None:
-            return _power_blocks(powers, n)
-        steps = (range(k0, min(k0 + _MAX_BLOCK, n)) for k0 in range(0, n, _MAX_BLOCK))
-        chunks = ((sys.matrices(np.arange(ks.start, ks.stop)), range(ks.start + 1, ks.stop + 1)) for ks in steps)
-        return _segment_blocks(chunks)
-
-    @_quiet
-    def sums(b0, times, m=1):
-        out = np.empty(len(times))
-        total, ptr, q = 0.0, 0, b0
+    def angles(b0):
+        if powers is None:
+            steps = (range(k0, min(k0 + _MAX_BLOCK, n)) for k0 in range(0, n, _MAX_BLOCK))
+            chunks = ((sys.matrices(np.arange(ks.start, ks.stop)), range(ks.start + 1, ks.stop + 1)) for ks in steps)
+            blocks = _segment_blocks(chunks)
+        else:
+            blocks = _power_blocks(powers, n)
+        q = b0
         try:
-            for nodes, ends in _carry(b0, blocks()):
-                angles = grassmann.max_angles(np.concatenate([q[None], nodes[:-1]]), nodes)
-                angles[: max(m - ends[0], 0)] = 0.0  # nodes before m add nothing
-                running = np.cumsum(np.concatenate([[total], angles]))
-                hi = np.searchsorted(times, ends[-1], side="right")
-                out[ptr:hi] = running[times[ptr:hi] - ends[0] + 1]
-                total, ptr, q = running[-1], hi, nodes[-1]
+            for nodes, _, indices in _carry(b0, blocks):
+                yield grassmann.max_angles(np.concatenate([q[None], nodes[:-1]]), nodes), indices, nodes
+                q = nodes[-1]
         except StepUnstable as exc:
             raise SingularMatrix("step matrix collapses the propagated subspace") from exc
-        return out
 
-    return sums
+    return lambda b0, times, m=1: _running_sums(angles(b0), times, start=m)[0]
 
 
 def angle_sum(sys, v, m, n):

@@ -15,7 +15,6 @@ from angval.continuous import (
     _varying_blocks,
     angular_integral,
     estimate_angular_value_ct,
-    integral_from_trajectory,
     kinematic_transform_ct,
     propagate_subspace,
     trace_normalize,
@@ -23,7 +22,7 @@ from angval.continuous import (
 from angval.errors import SingularMatrix, StepUnstable
 from angval.grassmann import Subspace, max_angle, subspace_from_spanning
 from angval.linalg import ComplexBlock, qr
-from angval.search import SubspaceSearchConfig
+from angval.search import TAIL_FRACTION, SubspaceSearchConfig
 from angval.smoothness import angle_derivative_flow
 
 from conftest import haar_subspace, random_orthogonal
@@ -110,10 +109,51 @@ def test_integral_window_additivity():
     a = rng.standard_normal((3, 3))
     sys = ContinuousSystem.from_constant(a)
     v0 = haar_subspace(rng, 3, 1)
-    traj = propagate_subspace(sys, v0, 2.0, 1e-3)
-    whole = integral_from_trajectory(traj, 0.0)
-    first = whole - integral_from_trajectory(traj, 1.0)
+    whole = angular_integral(sys, v0, 0.0, 2.0, 1e-3)
+    first = whole - angular_integral(sys, v0, 1.0, 2.0, 1e-3)
     assert abs(first - angular_integral(sys, v0, 0.0, 1.0, 1e-3)) < 1e-12
+
+
+@st.composite
+def _windows(draw):
+    """A constant, time-varying or gauge-transformed generator on R^d (d <= 4),
+    a starting subspace of dimension s = 1 or 2 < d, a step, and a window
+    0 <= t_start <= t_end of up to 600 steps."""
+    s = draw(st.integers(1, 2))
+    d = draw(st.integers(s + 1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((2, d, d))
+    omega = rng.uniform(0.1, 3.0)
+    kind = draw(st.sampled_from(["constant", "time_varying", "kinematic"]))
+    if kind == "constant":
+        sys = ContinuousSystem.from_constant(a)
+    elif kind == "time_varying":
+        sys = ContinuousSystem.time_varying(lambda t: a + math.sin(omega * t) * b, d)
+    else:
+        # Q(t) = I + 0.4 sin(omega t) B / ||B||_2 stays invertible
+        g = 0.4 * b / np.linalg.norm(b, 2)
+        sys = kinematic_transform_ct(
+            ContinuousSystem.from_constant(a),
+            lambda t: np.eye(d) + math.sin(omega * t) * g,
+            lambda t: omega * math.cos(omega * t) * g,
+        )
+    h = draw(st.floats(0.01, 0.1))
+    t_end = h * draw(st.integers(1, 600))
+    return sys, haar_subspace(rng, d, s), h, t_end, draw(st.floats(0.0, 1.0)) * t_end
+
+
+@settings(max_examples=40)
+@given(_windows())
+def test_window_integral_is_the_trapezoid_of_the_stored_integrand(window):
+    # the streamed integral from the node nearest t_start matches the
+    # trapezoid rule on propagate_subspace's integrand, summed exactly
+    sys, v0, h, t_end, t_start = window
+    traj = propagate_subspace(sys, v0, t_end, h)
+    f = traj.integrand[int(round(t_start / traj.times[1])) :]
+    want = traj.times[1] * (math.fsum(f) - 0.5 * (f[0] + f[-1]))
+    got = angular_integral(sys, v0, t_start, t_end, h)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    assert angular_integral(sys, v0, t_end, t_end, h) == 0.0
 
 
 def test_estimator_recovers_model2d_omega():
@@ -429,13 +469,30 @@ def test_bad_window_raises():
         angular_integral(sys, v0, 2.0, 1.0, 0.1)
 
 
-def test_estimator_is_deterministic():
-    sys = ContinuousSystem.model2d(0.5, 1.0)
+def _varying_2d(t):
+    return np.array([[0.1 * math.sin(t), -1.0 - 0.5 * math.sin(t)], [1.0, -0.2]])
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [ContinuousSystem.model2d(0.5, 1.0), ContinuousSystem.time_varying(_varying_2d, 2)],
+    ids=["model2d", "time_varying"],
+)
+def test_estimator_is_deterministic(sys):
     cfg = SubspaceSearchConfig(seed=2, candidates=3, refine_rounds=1)
     r1 = estimate_angular_value_ct(sys, 1, "sup-limsup", 30.0, 0.01, cfg)
     r2 = estimate_angular_value_ct(sys, 1, "sup-limsup", 30.0, 0.01, cfg)
     assert r1.value == r2.value
     assert np.array_equal(r1.best_basis, r2.best_basis)
+    # the winner's Cesaro averages are the cumulative trapezoid sums of its
+    # stored integrand, bit for bit
+    traj = propagate_subspace(sys, Subspace(r1.best_basis), 30.0, 0.01)
+    h, f, times = traj.times[1], traj.integrand, r1.sample_times
+    idx = np.round(times / h).astype(int)
+    averages = h * (np.cumsum(f)[idx] - (f[0] + f[idx]) / 2) / times
+    tail = averages[times >= 30.0 * TAIL_FRACTION]
+    assert (r1.tail_sup, r1.tail_inf) == (tail.max(), tail.min())
+    assert r1.value == tail.max()  # sup-limsup: the winner's tail sup
 
 
 def test_tail_falls_back_to_the_last_sample_time():

@@ -10,6 +10,7 @@ from conftest import haar_subspace, random_orthogonal
 
 from angval import blocks, grassmann
 from angval.blocks import _MAX_BLOCK, _segment_blocks
+from angval.continuous import ContinuousSystem, angular_integral, estimate_angular_value_ct
 from angval.discrete import (
     DiscreteSystem,
     _propagator,
@@ -339,22 +340,36 @@ def test_failing_segments_halve_down_to_single_maps():
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 
 
-def test_memory_is_bounded_by_the_block_not_the_horizon():
-    # an array of n angles alone would take 1.6 MB
-    n = 2 * 10**5
+_ONE_CANDIDATE = SubspaceSearchConfig(seed=0, candidates=1, refine_rounds=0)
+
+
+def _discrete_run(n):
     sys = DiscreteSystem.planar_rotation(rho=1.0, phi=0.3)
-    v = coordinate_subspace(2, [0])
-    cfg = SubspaceSearchConfig(seed=0, candidates=1, refine_rounds=0)
+    total = angle_sum(sys, coordinate_subspace(2, [0]), 1, n)
+    return total / n, estimate_angular_value(sys, 1, "sup-limsup", n, _ONE_CANDIDATE)
+
+
+def _continuous_run(n):
+    # n RK4 steps of h = 0.01 of the rotation at angular speed 0.3
+    sys = ContinuousSystem.model2d(rho=1.0, omega=0.3)
+    total = angular_integral(sys, coordinate_subspace(2, [0]), 0.0, 0.01 * n, 0.01)
+    return total / (0.01 * n), estimate_angular_value_ct(sys, 1, "sup-limsup", 0.01 * n, 0.01, _ONE_CANDIDATE)
+
+
+@pytest.mark.parametrize("run", [_discrete_run, _continuous_run], ids=["discrete", "continuous"])
+def test_memory_is_bounded_by_the_block_not_the_horizon(run):
+    # an array of n angles or angular speeds alone would take 1.6 MB; the
+    # angle per step, or the angular speed, is 0.3
+    n = 2 * 10**5
     # numpy's first Generator and QR allocate about 1 MB once; keep that out
-    estimate_angular_value(sys, 1, "sup-limsup", 10, cfg)
+    run(10)
     tracemalloc.start()
     try:
-        total = angle_sum(sys, v, 1, n)
-        rep = estimate_angular_value(sys, 1, "sup-limsup", n, cfg)
+        average, rep = run(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert total == pytest.approx(0.3 * n, rel=1e-10)
+    assert average == pytest.approx(0.3, rel=1e-10)
     assert rep.evaluations == 1 and rep.value == pytest.approx(0.3, rel=1e-10)
     assert peak < 10**6, "peak %d bytes" % peak
 
