@@ -11,9 +11,16 @@ they fail the test, so the cost of a step does not depend on where the
 condition numbers would cut a longer block.  _carry turns either stream of
 blocks into orthonormal nodes.
 
+A pass carries a (C, d, s) stack of bases (one basis is a stack of one)
+that share each block's products; each member gets the bits of its own
+pass.  A constant system's B powers multiply each member as one (B d, d)
+matrix, one BLAS call per member: the bits of B stacked products.  The
+search (search.run_search) sizes the stacks.
+
 _running_sums, the one reader of both classes' per-node increments, sums
-them at sample nodes in memory bounded by the block, _HELD and the samples;
-only continuous.propagate_subspace stores per-node values.
+them at sample nodes for every member in memory bounded by the block,
+_HELD and the samples; only continuous.propagate_subspace stores per-node
+values.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .linalg import qr, singular_values
 _MAX_BLOCK = 256
 _SEGMENT = 16
 _BLOCK_COND = 1e4
-_HELD = 1 << 14  # nodes per cumsum of _running_sums
+_HELD = 1 << 14  # member nodes per cumsum of _running_sums
 
 # overflow/invalid during a blown-up step is reported via StepUnstable, not
 # as a numpy warning
@@ -103,55 +110,59 @@ def _segment_blocks(chunks, size=_SEGMENT):
 
 def _carry(b0, blocks):
     """Yield (nodes, ends, node indices) for a stream of blocks (products,
-    ends): the orthonormal bases the products reach from b0, node 0, padding
-    dropped.  Each of the K segments of a block starts from the end node of
-    the one before.  A non-finite or rank-deficient basis raises StepUnstable."""
+    ends): the (C, n, d, s) orthonormal bases the products reach from each
+    member of the (C, d, s) stack b0, node 0 and padding dropped.  Each of
+    the K segments of a block starts from the end nodes of the one before.
+    A non-finite or rank-deficient basis of any member raises StepUnstable."""
     q, k = b0, 1
+    c, d, s = b0.shape
     try:
         for prods, ends in blocks:
             starts = [q]
             for p in prods[:-1]:
                 starts.append(qr(p[-1] @ starts[-1])[0])
             # a lone segment needs no stack of starts
-            w = prods[0] @ q if len(prods) == 1 else (prods @ np.stack(starts)[:, None]).reshape(-1, *q.shape)
-            nodes = qr(w)[0][: len(ends)]
-            yield nodes, ends, range(k, k + len(nodes))
-            q, k = nodes[-1], k + len(nodes)
+            w = prods[0].reshape(-1, d) @ q if len(prods) == 1 else prods @ np.stack(starts, axis=1)[:, :, None]
+            nodes = qr(w.reshape(-1, d, s))[0].reshape(c, -1, d, s)[:, : len(ends)]
+            yield nodes, ends, range(k, k + nodes.shape[1])
+            q, k = nodes[:, -1], k + nodes.shape[1]
     except (RankDeficient, FloatingPointError) as exc:
         raise StepUnstable("propagated basis: %s" % exc) from exc
 
 
 def _held(blocks):
-    """Runs (first node, increments) of a stream of blocks (increments, node
-    indices, bases), joined until they span _HELD nodes."""
+    """Runs (first node, (C, n) increments) of a stream of blocks (increments,
+    node indices, bases), joined until their C rows span _HELD nodes."""
     held = []
     for inc, nodes, _ in blocks:
         if not held:
             lo = nodes[0]
         held.append(inc)
-        if nodes[-1] - lo >= _HELD:
-            yield lo, np.concatenate(held)
+        if (nodes[-1] - lo) * len(inc) >= _HELD:
+            yield lo, np.concatenate(held, axis=1)
             held = []
     if held:
-        yield lo, np.concatenate(held)
+        yield lo, np.concatenate(held, axis=1)
 
 
 @_quiet
 def _running_sums(blocks, samples, start=0):
-    """(sums, increments) at the sorted sample nodes of a stream of blocks
-    (increments, node indices, bases), which runs under _quiet here.  The
-    sum at node j adds the increments of nodes start..j one at a time in
-    node order, as np.cumsum does, by one cumsum per run of _held."""
-    sums, values = np.empty(len(samples)), np.empty(len(samples))
-    total, ptr = 0.0, 0
+    """(C, samples) sums and increments at the sorted sample nodes of a
+    stream of blocks ((C, n) increments, node indices, bases), which runs
+    under _quiet here.  A member's sum at node j adds its increments of
+    nodes start..j one at a time in node order, as np.cumsum does, by one
+    cumsum along the rows of each run of _held."""
+    sums, total, ptr = None, 0.0, 0
     for lo, run in _held(blocks):
+        if sums is None:
+            sums, values = np.empty((2, len(run), len(samples)))
         if start > lo:
-            run[: start - lo] = 0.0  # nodes before start add nothing
-        end = samples.searchsorted(lo + len(run))
+            run[:, : start - lo] = 0.0  # nodes before start add nothing
+        end = samples.searchsorted(lo + run.shape[1])
         at = samples[ptr:end] - lo
-        values[ptr:end] = run[at]
-        run[0] += total
-        total = np.cumsum(run, out=run)[-1]
-        sums[ptr:end] = run[at]
+        values[:, ptr:end] = run[:, at]
+        run[:, 0] += total
+        total = np.cumsum(run, axis=1, out=run)[:, -1].copy()
+        sums[:, ptr:end] = run[:, at]
         ptr = end
     return sums, values

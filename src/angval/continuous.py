@@ -101,21 +101,23 @@ def _speeds(q, aq):
 
 
 def _propagator(sys, h, nsteps):
-    """propagate(b0) -> the stream of blocks (angular speeds, node indices,
-    bases) of nsteps fixed RK4 steps, node 0 first: step powers formed here
-    for a constant generator, step-map products per propagation otherwise."""
+    """propagate(b0, n=nsteps) -> the stream of blocks ((C, k) angular
+    speeds, node indices, (C, k, d, s) bases) of the first n of nsteps fixed
+    RK4 steps from each member of the (C, d, s) stack b0, in one pass, node
+    0 first: step powers formed here for a constant generator, from nsteps,
+    step-map products per propagation otherwise."""
     a = sys.constant
     powers = None if a is None else _step_powers(a, h, nsteps)
 
-    def propagate(b0):
-        if len(b0) != sys.dim:
-            raise DimensionMismatch("v0 lies in R^%d but the system acts on R^%d" % (len(b0), sys.dim))
+    def propagate(b0, n=nsteps):
+        if b0.shape[1] != sys.dim:
+            raise DimensionMismatch("v0 lies in R^%d but the system acts on R^%d" % (b0.shape[1], sys.dim))
         if a is None:
             a0 = sys.matrix(0.0)
-            blocks, a_at = _varying_blocks(sys, h, nsteps, a0), lambda ends: ends
+            blocks, a_at = _varying_blocks(sys, h, n, a0), lambda ends: ends
         else:
-            a0, blocks, a_at = a, _power_blocks(powers, nsteps), lambda ends: a
-        yield np.atleast_1d(_speeds(b0, a0 @ b0)), range(1), b0[None]
+            a0, blocks, a_at = a, _power_blocks(powers, n), lambda ends: a
+        yield _speeds(b0, a0 @ b0)[:, None], range(1), b0[:, None]
         for q, ends, indices in _carry(b0, blocks):
             yield _speeds(q, a_at(ends) @ q), indices, q
 
@@ -140,8 +142,9 @@ def propagate_subspace(sys, v0, t_end, h):
     nearest exact divisor of t_end.  The only call that stores every node.
     """
     nsteps, h = _resolve_steps(t_end, h)
-    speeds, _, bases = zip(*_propagator(sys, h, nsteps)(v0.basis))
-    return SubspaceTrajectory(np.arange(nsteps + 1) * h, np.concatenate(bases), np.concatenate(speeds))
+    speeds, _, bases = zip(*_propagator(sys, h, nsteps)(v0.basis[None]))
+    bases, speeds = np.concatenate(bases, axis=1)[0], np.concatenate(speeds, axis=1)[0]
+    return SubspaceTrajectory(np.arange(nsteps + 1) * h, bases, speeds)
 
 
 def angular_integral(sys, v0, t_start, t_end, h):
@@ -153,7 +156,7 @@ def angular_integral(sys, v0, t_start, t_end, h):
         raise ValueError("need 0 <= t_start <= t_end")
     nsteps, h = _resolve_steps(t_end, h)
     i0 = int(round(t_start / h))
-    sums, f = _running_sums(_propagator(sys, h, nsteps)(v0.basis), np.array([i0, nsteps]), start=i0)
+    (sums,), (f,) = _running_sums(_propagator(sys, h, nsteps)(v0.basis[None]), np.array([i0, nsteps]), start=i0)
     return float(h * (sums[1] - 0.5 * (f[0] + f[1])))
 
 
@@ -166,24 +169,28 @@ def estimate_angular_value_ct(sys, s, variant, horizon, step, config):
     limsup/liminf proxies.
     """
     nsteps, h = _resolve_steps(horizon, step)
-    # before the sample indices: a tiny step overflows their integer cast
-    check_budget(sys.dim, s, config, nsteps)
-    if config.sample_times is not None:
-        raw = np.asarray(config.sample_times, dtype=float)
-        if raw.min() <= 0.0 or raw.max() > horizon:
-            raise ValueError("sample times must lie in (0, horizon]")
-    else:
+    if config.sample_times is None:
         raw = default_sample_times(horizon, discrete=False)
+    else:
+        raw = np.asarray(config.sample_times, dtype=float)
+    # a propagation stops at the last sample node, so that is the count the
+    # budget charges; in floats, before the sample indices: a tiny step
+    # overflows their integer cast
+    check_budget(sys.dim, s, config, float(np.clip(np.round(min(raw.max(), horizon) / h), 1, nsteps)))
+    if config.sample_times is not None and (raw.min() <= 0.0 or raw.max() > horizon):
+        raise ValueError("sample times must lie in (0, horizon]")
     idx = np.unique(np.clip(np.round(raw / h).astype(int), 1, nsteps))
     times = idx * h
 
     samples = np.concatenate([[0], idx])
+    # the step powers come from the horizon's step count, so a sample's
+    # value does not depend on how far the samples reach
     propagate = _propagator(sys, h, nsteps)
 
-    def evaluate(basis):
-        csum, f = _running_sums(propagate(basis), samples)
+    def evaluate(stack):
+        csum, f = _running_sums(propagate(stack, idx[-1]), samples)
         # trapezoid cumulative: h * (csum_i - (f_0 + f_i) / 2)
-        cum = h * (csum[1:] - 0.5 * (f[0] + f[1:]))
+        cum = h * (csum[:, 1:] - 0.5 * (f[:, :1] + f[:, 1:]))
         return cum / times
 
     return run_search(

@@ -86,10 +86,11 @@ def solution_operator(sys, n, m):
 
 
 def _propagator(sys, n):
-    """sums(b0, times, m=1) -> the angle sums a_{m,j}(span b0) at each j of
-    the sorted times in [1, n]: the running-sum reader of blocks.py on the
-    angles between the nodes of n steps on the shared block path (the powers
-    of a constant map are formed here, once)."""
+    """sums(b0, times, m=1) -> the (C, times) angle sums a_{m,j}(span b)
+    of each member b of the (C, d, s) stack b0 at each j of the sorted
+    times in [1, n]: the running-sum reader of blocks.py on the angles
+    between the nodes of n steps, carried in one pass on the shared block
+    path (the powers of a constant map are formed here, once)."""
     a = sys.constant_matrix
     powers = None if a is None else _unit_powers(a, n)
 
@@ -103,8 +104,10 @@ def _propagator(sys, n):
         q = b0
         try:
             for nodes, _, indices in _carry(b0, blocks):
-                yield grassmann.max_angles(np.concatenate([q[None], nodes[:-1]]), nodes), indices, nodes
-                q = nodes[-1]
+                c, k, d, s = nodes.shape
+                prev = np.concatenate([q[:, None], nodes[:, :-1]], axis=1).reshape(-1, d, s)
+                yield grassmann.max_angles(prev, nodes.reshape(-1, d, s)).reshape(c, k), indices, nodes
+                q = nodes[:, -1]
         except StepUnstable as exc:
             raise SingularMatrix("step matrix collapses the propagated subspace") from exc
 
@@ -122,7 +125,7 @@ def angle_sum(sys, v, m, n):
         raise ValueError("need 1 <= m <= n")
     if v.d != sys.dim:
         raise DimensionMismatch("v lies in R^%d but the system acts on R^%d" % (v.d, sys.dim))
-    return float(_propagator(sys, n)(v.basis, np.array([n]), m)[0])
+    return float(_propagator(sys, n)(v.basis[None], np.array([n]), m)[0, 0])
 
 
 def estimate_angular_value(sys, s, variant, horizon, config):
@@ -146,8 +149,8 @@ def estimate_angular_value(sys, s, variant, horizon, config):
 
     sums = _propagator(sys, int(times[-1]))
 
-    def evaluate(basis):
-        return sums(basis, times) / times
+    def evaluate(stack):
+        return sums(stack, times) / times
 
     return run_search(
         evaluate,

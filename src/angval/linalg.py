@@ -66,6 +66,10 @@ def qr(w):
     a diagonal entry of r is at most RANK_TOL * ||w||_F, and
     FloatingPointError if w has a non-finite entry.
     """
+    if w.ndim == 3 and len(w) == 1:
+        # a stack of one costs less as its one member, with the same bits
+        q, r = qr(w[0])
+        return q[None], r[None]
     scale = np.sqrt(np.einsum("...ij,...ij->...", w, w))
     exp = None
     # count_nonzero is the cheapest all() and any() on a few entries

@@ -6,7 +6,8 @@ sampled on one shared grid of times.  All four limsup/liminf variants are
 read off the same candidate-by-time table, which makes the partial order
 between them hold by construction.  The search itself is deterministic
 given the seed: Haar-like candidates from QR'd Gaussian matrices, then
-coordinate-wise perturbation with geometric backoff.
+coordinate-wise perturbation with geometric backoff, evaluated in batches
+of one propagation pass each.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import AngvalError, BudgetExceeded
 from .linalg import qr
 
 VARIANTS = ("sup-limsup", "sup-liminf", "limsup-sup", "liminf-sup")
@@ -27,6 +28,7 @@ TAIL_FRACTION = 0.5
 SAMPLE_COUNT = 48
 # under this cap every step count that passes check_budget is below 2^53, where casts are exact
 MAX_COST_CAP = 1e15
+_MAX_PASS = 32  # bases per propagation pass
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,6 @@ class AngularValueReport:
     search_is_lower_bound: bool = True
 
 
-def haar_basis(rng, d, s):
-    """Orthonormal basis drawn from the rotation-invariant distribution."""
-    return qr(rng.standard_normal((d, s)))[0]
-
-
 def check_budget(d, s, config, steps_per_eval):
     """Refuse a search whose worst case exceeds the cost cap, before any work."""
     # in floats, which %g prints at any size; every evaluation takes at least
@@ -112,8 +109,19 @@ def _fold(variant, tail_table):
 def run_search(evaluate, d, s, variant, horizon, times, config):
     """Drive the candidate search and fold the table into the variant value.
 
-    evaluate(basis) must return the Cesaro averages at the shared sample
-    times (resolved by the caller, after its `check_budget`).
+    evaluate(stack) returns the (C, T) Cesaro averages at the shared sample
+    times (resolved by the caller, after its `check_budget`) of each basis
+    of a (C, d, s) stack, from one propagation pass.
+
+    The report is the one-at-a-time loop's, bit for bit.  The pool is drawn
+    in that loop's rng order and evaluated _MAX_PASS bases at a time.  The
+    refine trials of a round are evaluated speculatively in (i, j, sign)
+    order: the first improvement is accepted and the trials after it are
+    perturbed again from the new best.  A batch holds 2 trials at the start
+    of a round and after an accept and doubles after a batch without one,
+    so the discarded trials never outnumber those before them: the work is
+    at most twice the `evaluations` counted, one per trial of the loop,
+    which `check_budget` charges.  A failing batch is re-run one at a time.
     """
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r, expected one of %s" % (variant, (VARIANTS,)))
@@ -124,44 +132,64 @@ def run_search(evaluate, d, s, variant, horizon, times, config):
     if not np.any(tail_mask):
         tail_mask = np.zeros(len(times), dtype=bool)
         tail_mask[-1] = True
-    rng = np.random.default_rng(config.seed)
-    pool_bases = []
-    pool_vals = []
-    for _ in range(config.candidates):
-        b = haar_basis(rng, d, s)
-        pool_bases.append(b)
-        pool_vals.append(np.asarray(evaluate(b)))
-    evaluations = len(pool_bases)
 
     def stat(vals):
         return _fold(variant, vals[None, tail_mask])
 
-    best = int(np.argmax([stat(v) for v in pool_vals]))
-    best_basis = pool_bases[best]
-    best_vals = pool_vals[best]
-    best_stat = stat(best_vals)
+    def first_accept(stack, best_stat):
+        # the values and stats of the bases of stack, up to the first whose
+        # stat beats best_stat
+        try:
+            table = np.asarray(evaluate(stack))
+        except AngvalError:  # a numerical failure of some basis of the stack
+            if len(stack) == 1:
+                raise
+            table = None
+        rows, stats = [], []
+        for k, b in enumerate(stack):
+            rows.append(np.asarray(evaluate(b[None]))[0] if table is None else table[k])
+            stats.append(stat(rows[-1]))
+            if stats[-1] > best_stat:
+                break
+        return rows, stats
+
+    rng = np.random.default_rng(config.seed)
+    pool_bases, pool_vals, pool_stats = [], [], []
+    for k in range(0, config.candidates, _MAX_PASS):
+        # Haar-distributed bases, drawn in the order of one at a time
+        pool_bases.append(qr(rng.standard_normal((min(_MAX_PASS, config.candidates - k), d, s)))[0])
+        rows, stats = first_accept(pool_bases[-1], np.inf)
+        pool_vals.append(np.array(rows))
+        pool_stats.extend(stats)
+    pool_bases, pool_vals = np.concatenate(pool_bases), np.concatenate(pool_vals)
+    evaluations = len(pool_bases)
+
+    best = int(np.argmax(pool_stats))
+    best_basis, best_vals, best_stat = pool_bases[best], pool_vals[best], pool_stats[best]
     scale = REFINE_SCALE
     for _ in range(config.refine_rounds):
         improved = False
-        for i in range(d):
-            for j in range(s):
-                for sign in (1.0, -1.0):
-                    trial = best_basis.copy()
-                    trial[i, j] += sign * scale
-                    q = qr(trial)[0]
-                    vals = np.asarray(evaluate(q))
-                    evaluations += 1
-                    st = stat(vals)
-                    if st > best_stat:
-                        best_basis, best_vals, best_stat = q, vals, st
-                        improved = True
+        k, size = 0, 2
+        while k < 2 * d * s:
+            # trial t adds +-scale to entry (i, j) of the best basis, in
+            # (i, j, sign) order with + first
+            t = np.arange(k, min(k + size, 2 * d * s))
+            trials = np.repeat(best_basis[None], len(t), axis=0)
+            trials[np.arange(len(t)), t // (2 * s), t // 2 % s] += np.where(t % 2, -scale, scale)
+            stack = qr(trials)[0]
+            rows, stats = first_accept(stack, best_stat)
+            evaluations += len(rows)
+            k += len(rows)
+            if stats[-1] > best_stat:
+                best_basis, best_vals, best_stat = stack[len(rows) - 1], rows[-1], stats[-1]
+                improved, size = True, 2
+            else:
+                size = min(2 * size, _MAX_PASS)
         if not improved:
             scale *= 0.5
             if scale < 1e-10:
                 break
-    pool_bases.append(best_basis)
-    pool_vals.append(best_vals)
-    table = np.vstack(pool_vals)  # (candidates, times)
+    table = np.vstack([pool_vals, best_vals])  # (candidates, times)
     return AngularValueReport(
         variant=variant,
         value=_fold(variant, table[:, tail_mask]),
@@ -170,7 +198,7 @@ def run_search(evaluate, d, s, variant, horizon, times, config):
         best_basis=best_basis,
         tail_sup=float(best_vals[tail_mask].max()),
         tail_inf=float(best_vals[tail_mask].min()),
-        candidates=len(pool_bases),
+        candidates=len(table),
         evaluations=evaluations,
         sample_times=times,
         seed=config.seed,

@@ -19,7 +19,7 @@ from angval.continuous import (
     propagate_subspace,
     trace_normalize,
 )
-from angval.errors import SingularMatrix, StepUnstable
+from angval.errors import BudgetExceeded, SingularMatrix, StepUnstable
 from angval.grassmann import Subspace, max_angle, subspace_from_spanning
 from angval.linalg import ComplexBlock, qr
 from angval.search import TAIL_FRACTION, SubspaceSearchConfig
@@ -504,3 +504,22 @@ def test_tail_falls_back_to_the_last_sample_time():
     want = angular_integral(sys, subspace_from_spanning(rep.best_basis), 0.0, 2.0, 0.01) / 2.0
     assert rep.tail_sup == rep.tail_inf == rep.value
     assert rep.tail_sup == pytest.approx(want, rel=1e-12)
+
+
+def test_estimate_stops_at_its_last_sample():
+    # the generator refuses every time past the last sample, t = 2, and the
+    # estimate at horizon 100 never asks for one; the budget charges the 200
+    # steps to that sample (6 evaluations x 200 <= 1500), not the 10^4 to
+    # the horizon, and the averages are those of the run to t = 2
+    def generator(t):
+        if t > 2.0 + 1e-9:
+            raise AssertionError("A(%r) is past the last sample" % t)
+        return _varying_2d(t)
+
+    sys = ContinuousSystem.time_varying(generator, 2)
+    cfg = SubspaceSearchConfig(seed=0, candidates=2, refine_rounds=1, sample_times=[1.0, 2.0], cost_cap=1500)
+    rep = estimate_angular_value_ct(sys, 1, "sup-limsup", 100.0, 0.01, cfg)
+    want = angular_integral(sys, subspace_from_spanning(rep.best_basis), 0.0, 2.0, 0.01) / 2.0
+    assert rep.evaluations == 6 and rep.value == pytest.approx(want, rel=1e-12)
+    with pytest.raises(BudgetExceeded, match="6 evaluations x 200 steps"):
+        estimate_angular_value_ct(sys, 1, "sup-limsup", 100.0, 0.01, dataclasses.replace(cfg, cost_cap=1000))

@@ -282,9 +282,9 @@ def test_block_path_matches_stepwise(orbit):
         want = _stepwise_sums(sys, b0, n)
     except SingularMatrix:
         with pytest.raises(SingularMatrix):
-            _propagator(sys, n)(b0, np.arange(1, n + 1))
+            _propagator(sys, n)(b0[None], np.arange(1, n + 1))
         return
-    got = _propagator(sys, n)(b0, np.arange(1, n + 1))
+    (got,) = _propagator(sys, n)(b0[None], np.arange(1, n + 1))
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
     m = (n + 1) // 2
     window = want[-1] - (want[m - 2] if m > 1 else 0.0)
@@ -293,9 +293,9 @@ def test_block_path_matches_stepwise(orbit):
 
 def _count_stacked_qrs(monkeypatch):
     # the length of each stack of nodes the carrier orthonormalizes; a
-    # segment start is a single basis and is not counted
+    # segment start is a stack of one basis here and is not counted
     calls, kernel = [], blocks.qr
-    monkeypatch.setattr(blocks, "qr", lambda w: (w.ndim == 3 and calls.append(len(w))) or kernel(w))
+    monkeypatch.setattr(blocks, "qr", lambda w: (len(w) > 1 and calls.append(len(w))) or kernel(w))
     return calls
 
 
@@ -335,7 +335,7 @@ def test_failing_segments_halve_down_to_single_maps():
         maps = np.array([cycle.matrix(k) for k in range(_MAX_BLOCK)])
         layout = [(*p.shape[:2], len(e)) for p, e in _segment_blocks([(maps, range(1, _MAX_BLOCK + 1))])]
         assert layout == [(_MAX_BLOCK // size, size, _MAX_BLOCK)]
-        got = _propagator(cycle, n)(b0, np.arange(1, n + 1))
+        (got,) = _propagator(cycle, n)(b0[None], np.arange(1, n + 1))
         want = _stepwise_sums(cycle, b0, n)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 

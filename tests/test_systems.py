@@ -109,7 +109,7 @@ def test_stacked_kinematic_transform_matches_per_map_solves(constant, s):
     stacked, per_map = kinematic_transform(sys, q_seq), _per_map_kinematic(sys, q_seq)
     assert np.array_equal(stacked.matrices(np.arange(700)), per_map.matrices(np.arange(700)))
     b0, times = haar_subspace(rng, 3, s).basis, np.arange(1, 701)
-    assert np.array_equal(_propagator(stacked, 700)(b0, times), _propagator(per_map, 700)(b0, times))
+    assert np.array_equal(_propagator(stacked, 700)(b0[None], times), _propagator(per_map, 700)(b0[None], times))
 
 
 def test_singular_discrete_gauge_names_its_steps():
