@@ -103,13 +103,19 @@ def _estimate(name, variant, config):
 
 
 def _capture(monkeypatch, name):
-    # the estimator's evaluate and search arguments, with the search run
+    # the estimator's evaluate and search arguments, and the bases the
+    # search evaluates
     module = _CASES[name][0]
     seen = {}
 
     def run_search(evaluate, **kwargs):
-        seen.update(evaluate=evaluate, kwargs=kwargs)
-        return search.run_search(evaluate, **kwargs)
+        seen.update(evaluate=evaluate, kwargs=kwargs, members=0)
+
+        def counted(stack):
+            seen["members"] += len(stack)
+            return evaluate(stack)
+
+        return search.run_search(counted, **kwargs)
 
     monkeypatch.setattr(module, "run_search", run_search)
     return seen
@@ -130,9 +136,7 @@ def test_batched_search_is_the_sequential_search(monkeypatch, name):
             want = _sequential_search(lambda b: evaluate(b[None])[0], **kwargs)
             for field, value in want.items():
                 assert np.array_equal(getattr(rep, field), value), (variant, seed, field)
-            counted = []
-            search.run_search(lambda stack: counted.append(len(stack)) or evaluate(stack), **kwargs)
-            assert rep.evaluations <= sum(counted) <= 2 * rep.evaluations
+            assert rep.evaluations <= seen["members"] <= 2 * rep.evaluations
 
 
 def test_a_discarded_speculative_basis_that_raises_ends_nothing(monkeypatch):
