@@ -2,8 +2,9 @@
 
 An orbit of subspaces is carried in blocks: B nodes are reached from one
 orthonormal basis by the products M_j ... M_1 of the step maps and
-orthonormalized together.  That is as accurate as stepping while the
-products stay well conditioned (condition number at most _BLOCK_COND).
+orthonormalized together, as accurate as stepping while the products stay
+well conditioned: kappa <= _BLOCK_COND, decided as an SVD would by two
+determinant bounds with margins of 2, and by an SVD where they do not.
 A constant system's step matrix M has its powers formed once, up to
 _MAX_BLOCK of them.  A time-varying system is carried in segments of
 _SEGMENT maps, formed for a whole chunk of maps at once and halved where
@@ -40,22 +41,33 @@ _HELD = 1 << 14  # member nodes per cumsum of _running_sums
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+@_quiet
 def _conditioned(prods):
     """Mask of the members of a (..., d, d) stack whose condition numbers
-    are at most _BLOCK_COND."""
-    finite = np.all(np.isfinite(prods), axis=(-2, -1))
-    cond = np.full(finite.shape, np.inf)
-    sigma = singular_values(prods[finite])
-    cond[finite] = sigma[:, 0] / sigma[:, -1]
-    return cond <= _BLOCK_COND  # 0/0 is nan: a zero product fails too
+    kappa, by singular_values, are at most _BLOCK_COND.  lo <= kappa < 2 lo^d
+    for lo = ||P||_F/(sqrt(d) |det P|^(1/d)) (Guggenheimer et al. 1995), so
+    a member passes at 2 lo^d <= _BLOCK_COND/2, fails at lo > 2 _BLOCK_COND,
+    and only the rest take the SVD.  det (an LU) and the SVD are each exact
+    for a P + E with ||E|| = O(eps ||P||), which moves kappa by O(eps kappa):
+    far inside the margins of 2, so every decision is the SVD's.  lo reads P
+    scaled by its largest entry; a zero or non-finite member is nan, fails."""
+    d = prods.shape[-1]
+    unit = prods / np.abs(prods).max(axis=(-2, -1), keepdims=True)
+    lo = np.linalg.norm(unit, axis=(-2, -1)) / np.sqrt(d) / np.abs(np.linalg.det(unit)) ** (1 / d)
+    ok = 2 * lo**d <= _BLOCK_COND / 2
+    open_ = ~ok & (lo <= 2 * _BLOCK_COND)
+    if open_.any():
+        sigma = singular_values(prods[open_])
+        ok[open_] = sigma[:, 0] / sigma[:, -1] <= _BLOCK_COND
+    return ok
 
 
 @_quiet
 def _unit_powers(m, nsteps):
-    """Stack (B, d, d) of the powers of one step matrix M, each scaled to
-    unit norm, which keeps the spans they carry and keeps long blocks of
-    growing or decaying steps from overflowing or underflowing.  B, at least
-    1, is the longest leading run that passes the condition test."""
+    """Stack (B, d, d) of the powers of one step matrix M: M itself alone at
+    nsteps = 1, else each scaled to unit norm, which keeps their spans and
+    keeps long blocks of growing or decaying steps from overflowing.  B, at
+    least 1, is the longest leading run that passes the condition test."""
     powers = m[None]
     cap = min(_MAX_BLOCK, nsteps)
     while len(powers) < cap:

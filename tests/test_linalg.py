@@ -192,7 +192,10 @@ def test_svd_graded_columns_small_sigma_relative_accuracy():
 
 
 def test_svd_lapack_failure_is_no_convergence(monkeypatch):
+    calls = []
+
     def fail(*args, **kwargs):
+        calls.append(args[0].shape)
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
@@ -200,10 +203,14 @@ def test_svd_lapack_failure_is_no_convergence(monkeypatch):
         svd(np.eye(3))
     with pytest.raises(NoConvergence):
         spectral_norm(np.eye(3))
-    # the condition test of the block path's products
-    cycle = DiscreteSystem.from_sequence([np.diag([2.0, 1.0]), rotation(0.3)], cycle=True)
+    # the condition test of the block path's products: this cycle's products
+    # have condition numbers of 9e3 to 8e7, which the determinant bounds of
+    # the test leave open, so it takes the SVD
+    calls.clear()
+    cycle = DiscreteSystem.from_sequence([np.diag([100.0, 1.0]), rotation(0.3)], cycle=True)
     with pytest.raises(NoConvergence):
         angle_sum(cycle, Subspace(np.eye(2)[:, :1]), 1, 40)
+    assert calls
 
 
 def test_spectral_norm_values():
